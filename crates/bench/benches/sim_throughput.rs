@@ -10,7 +10,11 @@
 //!   configuration, with the fused direct-threaded tier forced on
 //!   (`host.functional_fused_mips`), and with it forced off
 //!   (`host.functional_scalar_mips`), alongside `fusion.*` counters for
-//!   the fraction of retired instructions covered by superinstructions;
+//!   the fraction of retired instructions covered by superinstructions.
+//!   The timed leg is also measured on the path paper runs take
+//!   (`host.timed_app_mips`): the four apps' Test-scale Baseline images
+//!   as `Workload::prepare` builds them, profile regions and all, each
+//!   output checked against its golden vector;
 //! * **suite wall-clock** — `Study::run_suite` end to end, once serial
 //!   (`threads = 1`) and once at the configured worker count, plus the
 //!   resulting speedup. The serial and parallel suites are also checked
@@ -21,6 +25,7 @@
 //! it against the committed baseline in `baselines/` — the repo's
 //! performance trajectory over time.
 
+use bioarch::apps::{App, Scale, Variant, Workload};
 use bioarch::experiments::Study;
 use bioarch::report::{write_atomic, Direction, Report};
 use power5_sim::{run_batch_functional, CoreConfig, LaneStats, Machine};
@@ -90,6 +95,34 @@ fn mips(reps: usize, run: impl Fn(&mut Machine) -> u64) -> f64 {
     mips_prepped(reps, |_| {}, run)
 }
 
+/// Best-of-N aggregate timed MIPS over the apps' real images: each
+/// app's Test-scale Baseline image, prepared as for a paper run, retired
+/// to completion through `run_timed`. Preparation stays outside the
+/// clock. Also returns the apps whose run did not halt with the golden
+/// output.
+fn timed_app_mips(reps: usize, seed: u64) -> (f64, Vec<&'static str>) {
+    let cfg = CoreConfig::power5();
+    let workloads = App::all().map(|app| Workload::new(app, Scale::Test, seed));
+    let mut best = 0.0f64;
+    let mut wrong = Vec::new();
+    for rep in 0..reps {
+        let (mut insns, mut secs) = (0u64, 0.0f64);
+        for wl in &workloads {
+            let mut run = wl.prepare(Variant::Baseline, &cfg).expect("prepare");
+            let start = Instant::now();
+            let r = run.machine.run_timed(u64::MAX).expect("runs");
+            secs += start.elapsed().as_secs_f64();
+            insns += r.executed;
+            let out = run.machine.mem().read_i32s(run.out_addr, run.out_len).expect("output");
+            if rep == 0 && (!r.halted || out != run.golden) {
+                wrong.push(wl.app().name());
+            }
+        }
+        best = best.max(insns as f64 / secs.max(1e-9) / 1e6);
+    }
+    (best, wrong)
+}
+
 fn suite_json(suite: &bioarch::experiments::Suite) -> String {
     suite.reports.iter().map(Report::render_json).collect::<Vec<_>>().join("\n")
 }
@@ -112,6 +145,7 @@ fn main() {
             |m| m.run_functional(u64::MAX).expect("runs").executed,
         );
         let timed = mips(reps, |m| m.run_timed(u64::MAX).expect("runs").executed);
+        let (timed_app, wrong_apps) = timed_app_mips(reps, study.seed());
 
         // Lane-gang leg: LANES identical copies of the loop stepped
         // through shared decode/fused-block dispatch (DESIGN §18).
@@ -212,6 +246,7 @@ fn main() {
         report.push("host.functional_fused_mips", fused, Direction::Higher);
         report.push("host.functional_scalar_mips", scalar, Direction::Higher);
         report.push("host.timed_mips", timed, Direction::Higher);
+        report.push("host.timed_app_mips", timed_app, Direction::Higher);
         report.push("lanes.mips", lanes_mips, Direction::Higher);
         report.push("lanes.lanes", LANES as f64, Direction::Neutral);
         report.push("lanes.occupancy", lane_stats.occupancy(), Direction::Higher);
@@ -240,6 +275,9 @@ fn main() {
         if suite_json(&serial_suite) != suite_json(&parallel_suite) {
             report.degrade("parallel suite output diverged from serial");
         }
+        for app in wrong_apps {
+            report.degrade(format!("{app}: timed run missed the golden output"));
+        }
         if !lanes_identical {
             report.degrade("lane gang results diverged from the scalar reference");
         }
@@ -254,7 +292,7 @@ fn main() {
 
         let rendered = format!(
             "interpreter: functional {functional:.2} MIPS (fused {fused:.2}, scalar {scalar:.2}), \
-             timed {timed:.2} MIPS\n\
+             timed {timed:.2} MIPS (real app images {timed_app:.2})\n\
              lanes: {lanes_mips:.2} aggregate MIPS at width {LANES} \
              ({:.2}x functional, occupancy {:.1}%)\n\
              fusion: {:.1}% of retired insns inside superinstructions\n\

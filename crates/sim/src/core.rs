@@ -927,8 +927,8 @@ impl TimingCore {
     /// Account one committed instruction from its precomputed static
     /// timing record, deferring the per-class counter increments to a
     /// later [`TimingCore::flush_block`]. Only valid when no tracer or
-    /// interval sampling is active (see
-    /// [`TimingCore::needs_per_insn_retire`]); callers accumulate the
+    /// interval sampling is active (see [`TimingCore::tracer`] and
+    /// [`TimingCore::interval_sampling_enabled`]); callers accumulate the
     /// class counts per block from the sidecar's prefix sums.
     #[inline]
     pub fn retire_batched(&mut self, st: &StaticTiming, pc: u32, event: StepEvent) -> u64 {
@@ -959,11 +959,11 @@ impl TimingCore {
         self.last_commit
     }
 
-    /// Whether retire-time bookkeeping (tracing, interval sampling)
-    /// requires visiting every instruction individually, ruling out the
+    /// Whether interval sampling is on. Like an active tracer, it needs
+    /// every retirement visited individually, ruling out the
     /// block-batched commit path.
-    pub fn needs_per_insn_retire(&self) -> bool {
-        self.interval_insns > 0 || !self.tracer.is_off()
+    pub fn interval_sampling_enabled(&self) -> bool {
+        self.interval_insns > 0
     }
 
     /// Build and deliver one pipeline event record (kept out of the retire

@@ -185,7 +185,7 @@ pub struct ProfileRegion {
 }
 
 /// Per-function attribution state: the regions and, for each, the
-/// `(cycles, instructions)` charged so far.
+/// `(instructions, cycles)` charged so far.
 type ProfileState = (Vec<ProfileRegion>, Vec<(u64, u64)>);
 
 /// Checkpoint memory-page granularity: all-zero pages are elided.
@@ -255,6 +255,22 @@ const INVALID_SLOT: Instruction = Instruction::Trap;
 
 /// Region-index sentinel: this code word belongs to no profile region.
 const NO_REGION: u32 = u32::MAX;
+
+/// Charge one committed instruction to profile region `region` (or to
+/// none, for [`NO_REGION`]): the commit-cycle delta since the last
+/// commit seen goes to the region along with the instruction, and the
+/// last commit seen advances either way. Shared by every timed retire
+/// loop so their attribution cannot drift apart.
+#[inline]
+fn charge_region(counts: &mut [(u64, u64)], region: u32, commit: u64, last_commit_seen: &mut u64) {
+    let delta = commit.saturating_sub(*last_commit_seen);
+    *last_commit_seen = (*last_commit_seen).max(commit);
+    if region != NO_REGION {
+        let c = &mut counts[region as usize];
+        c.0 += 1;
+        c.1 += delta;
+    }
+}
 
 /// Whether `insn` ends a straight-line run (control may leave the
 /// fall-through path after it).
@@ -914,13 +930,16 @@ impl Machine {
 
     /// Run with full timing for at most `max_insns` instructions.
     ///
-    /// Dispatches to the block-batched retire loop when nothing requires
-    /// per-instruction visits — no lockstep oracle, no per-function
-    /// profiling, no cycle watchdog, no tracer, no interval sampling —
-    /// and otherwise to the per-instruction reference loop
-    /// ([`Machine::run_timed_pinned`]). Both paths drive the same
-    /// pipeline scheduler and are cycle-exact to each other: identical
-    /// counters, stall partitions, site heatmaps, and checkpoints.
+    /// Dispatches to the block-batched retire loop unless an observer
+    /// needs every retirement on its own — a cycle watchdog, a tracer,
+    /// or interval sampling (see `timed_pin_reason`) — in which case it
+    /// runs the per-instruction reference loop
+    /// ([`Machine::run_timed_pinned`]); a lockstep oracle takes the
+    /// checked loop. Per-function profiling does not pin: the batched
+    /// loop charges each commit to its region exactly as the pinned one
+    /// does. Both paths drive the same pipeline scheduler and are
+    /// cycle-exact to each other: identical counters, stall partitions,
+    /// site heatmaps, profile results, and checkpoints.
     ///
     /// # Errors
     ///
@@ -930,22 +949,36 @@ impl Machine {
             // See `run_functional`: the checked loop is separate.
             return self.run_timed_checked(max_insns);
         }
-        if self.profile.is_some()
-            || self.watchdog.max_cycles.is_some()
-            || self.core.needs_per_insn_retire()
-        {
+        if self.timed_pin_reason().is_some() {
             return self.run_timed_pinned(max_insns);
         }
         self.run_timed_batched(max_insns)
+    }
+
+    /// Which observer pins timed runs to the per-instruction loop, if
+    /// any: a cycle watchdog stops at the exact instruction whose commit
+    /// crosses its limit, while a tracer and interval sampling record
+    /// every retirement with its own counters; the batched loop checks
+    /// and folds once per block.
+    fn timed_pin_reason(&self) -> Option<&'static str> {
+        if self.watchdog.max_cycles.is_some() {
+            Some("cycle watchdog")
+        } else if !self.core.tracer().is_off() {
+            Some("tracer")
+        } else if self.core.interval_sampling_enabled() {
+            Some("interval sampling")
+        } else {
+            None
+        }
     }
 
     /// The per-instruction timed loop: every retirement folds its own
     /// counters and runs its own watchdog/profiling checks. This is the
     /// reference the batched path must match bit-for-bit (the
     /// cycle-exactness tests pin one side of the comparison to it), and
-    /// the fallback whenever a per-instruction observer is active. With a
-    /// lockstep oracle installed it defers to the checked loop, exactly
-    /// like [`Machine::run_timed`].
+    /// the path [`Machine::run_timed`] takes whenever a per-instruction
+    /// observer is active. With a lockstep oracle installed it defers to
+    /// the checked loop, exactly like [`Machine::run_timed`].
     ///
     /// # Errors
     ///
@@ -1036,7 +1069,9 @@ impl Machine {
     /// the block short), and budget/watchdog checks run once per block
     /// via the same quota logic as the other loops. Only entered when no
     /// per-instruction observer is active, so hoisting those checks
-    /// cannot change observable behaviour.
+    /// cannot change observable behaviour. Per-function profiling stays
+    /// per instruction: each commit cycle `retire_batched` returns is
+    /// charged to its slot's region as it retires.
     fn run_timed_batched(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
         /// Why the block loop stopped before exhausting its quota.
         enum Cut {
@@ -1064,7 +1099,22 @@ impl Machine {
             // timing tables are read in lockstep. Iterating the two
             // slices zipped (instead of indexing per instruction) drops
             // the bounds checks and the sidecar copy from the hot loop.
-            let Machine { cpu, mem, core, decoded, timing, .. } = &mut *self;
+            let Machine {
+                cpu,
+                mem,
+                core,
+                decoded,
+                timing,
+                profile,
+                region_index,
+                last_commit_seen,
+                ..
+            } = &mut *self;
+            // The region index covers every code slot whenever profiling
+            // is on (`rebuild_region_index`), so the block's slice exists.
+            let mut attribution = profile
+                .as_mut()
+                .map(|(_, counts)| (counts.as_mut_slice(), &region_index[idx..idx + quota]));
             let mut n = 0usize;
             let mut cut = Cut::Quota;
             for (insn, st) in decoded[idx..idx + quota].iter().zip(&timing[idx..idx + quota]) {
@@ -1076,7 +1126,10 @@ impl Machine {
                         break;
                     }
                 };
-                core.retire_batched(st, pc, ev);
+                let commit = core.retire_batched(st, pc, ev);
+                if let Some((counts, regions)) = &mut attribution {
+                    charge_region(counts, regions[n], commit, last_commit_seen);
+                }
                 n += 1;
                 if ev.halted {
                     cut = Cut::Halt;
@@ -1319,14 +1372,9 @@ impl Machine {
     /// at cycle `commit`) to its profile region via the dense index.
     /// Only called when profiling is enabled.
     fn attribute_profile(&mut self, slot: usize, commit: u64) {
-        let delta = commit.saturating_sub(self.last_commit_seen);
-        self.last_commit_seen = self.last_commit_seen.max(commit);
-        let region = self.region_index.get(slot).copied().unwrap_or(NO_REGION);
-        if region != NO_REGION {
-            if let Some((_, counts)) = &mut self.profile {
-                counts[region as usize].0 += 1;
-                counts[region as usize].1 += delta;
-            }
+        if let Some((_, counts)) = &mut self.profile {
+            let region = self.region_index.get(slot).copied().unwrap_or(NO_REGION);
+            charge_region(counts, region, commit, &mut self.last_commit_seen);
         }
     }
 
@@ -1809,6 +1857,116 @@ loop:
         assert_eq!(rep_b.total_samples, rep_p.total_samples);
         assert!(rep_b.retire_latency.count() > 0);
         assert!(rep_b.block_len.max() <= 5);
+    }
+
+    #[test]
+    fn only_per_instruction_observers_pin_timed_runs() {
+        // Profile regions (which every paper run sets) and instruction
+        // budgets keep the batched loop; each per-instruction observer
+        // pins, profiled or not.
+        let loop_region =
+            || vec![ProfileRegion { name: "loop".into(), start: 0x100c, end: 0x1014 }];
+        let mut m = machine(COUNT_LOOP);
+        assert_eq!(m.timed_pin_reason(), None);
+        m.set_profile_regions(loop_region());
+        m.set_watchdog(Watchdog { max_instructions: Some(10_000), ..Watchdog::default() });
+        assert_eq!(m.timed_pin_reason(), None, "profiled runs must take the batched loop");
+
+        type Attach = fn(&mut Machine);
+        let observers: [(Attach, &str); 3] = [
+            (
+                |m| m.set_watchdog(Watchdog { max_cycles: Some(300), ..Watchdog::default() }),
+                "cycle watchdog",
+            ),
+            (|m| m.trace_last(16), "tracer"),
+            (|m| m.set_interval_sampling(200), "interval sampling"),
+        ];
+        for profiled in [false, true] {
+            for (attach, reason) in observers {
+                let mut m = machine(COUNT_LOOP);
+                if profiled {
+                    m.set_profile_regions(loop_region());
+                }
+                attach(&mut m);
+                assert_eq!(m.timed_pin_reason(), Some(reason));
+            }
+        }
+    }
+
+    /// A loop whose straight-line block stores into its own code (the
+    /// word at `patchme` becomes `donor`'s `addi r3, r3, 100`), with a
+    /// load and a multiply for latency.
+    const PROFILED_SMC_LOOP: &str = "
+entry:
+    li r3, 0
+    li r4, 12
+    mtctr r4
+    li r9, 4152
+    lwz r8, 0(r9)
+    li r10, 4136
+loop:
+    addi r3, r3, 1
+    xor r5, r3, r4
+    add r6, r5, r3
+    stw r8, 0(r10)
+patchme:
+    addi r3, r3, 1
+    mullw r7, r3, r5
+    bdnz loop
+    trap
+donor:
+    addi r3, r3, 100
+";
+
+    /// Regions the app images may not have: `setup` and `body` each
+    /// split a straight-line block, `wide` overlaps `body` (first match
+    /// wins, so it keeps only the slots `body` leaves), `never` covers
+    /// no code, and three executed slots belong to no region.
+    fn profiled_smc_machine() -> Machine {
+        let mut m = machine(PROFILED_SMC_LOOP);
+        let region = |name: &str, start, end| ProfileRegion { name: name.into(), start, end };
+        m.set_profile_regions(vec![
+            region("setup", 0x1000, 0x100c),
+            region("body", 0x101c, 0x102c),
+            region("wide", 0x1014, 0x1034),
+            region("never", 0x8000, 0x8010),
+        ]);
+        m
+    }
+
+    #[test]
+    fn batched_profile_attribution_matches_pinned_at_every_cut() {
+        let mut gold = profiled_smc_machine();
+        let total = gold.run_timed_pinned(u64::MAX).unwrap().executed;
+        assert_eq!(gold.cpu().reg(Gpr(3)), 12 * 101, "the stored instruction must execute");
+        let counts: Vec<(String, u64)> =
+            gold.profile_results().into_iter().map(|(name, insns, _)| (name, insns)).collect();
+        let expect = [("setup", 3), ("body", 48), ("wide", 37), ("never", 0)];
+        assert_eq!(counts, expect.map(|(n, i)| (n.to_string(), i)));
+        assert_eq!(total, 91, "three executed slots stay unattributed");
+
+        for cut in 0..=total {
+            let mut batched = profiled_smc_machine();
+            let mut pinned = profiled_smc_machine();
+            batched.run_timed(cut).unwrap();
+            pinned.run_timed_pinned(cut).unwrap();
+            assert_eq!(batched.profile_results(), pinned.profile_results(), "cut {cut}");
+            let mid = batched.checkpoint();
+            assert_eq!(mid, pinned.checkpoint(), "cut {cut}");
+
+            // Finish three ways: in place, pinned, and batched in a
+            // fresh machine restored from the batched mid-point (the
+            // restore reinstalls the regions from the checkpoint).
+            let mut resumed = machine(PROFILED_SMC_LOOP);
+            resumed.restore(&mid).unwrap();
+            batched.run_timed(u64::MAX).unwrap();
+            pinned.run_timed_pinned(u64::MAX).unwrap();
+            resumed.run_timed(u64::MAX).unwrap();
+            for m in [&batched, &pinned, &resumed] {
+                assert_eq!(m.profile_results(), gold.profile_results(), "cut {cut}");
+                assert_eq!(m.checkpoint(), gold.checkpoint(), "cut {cut}");
+            }
+        }
     }
 
     #[test]

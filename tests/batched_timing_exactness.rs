@@ -7,8 +7,13 @@
 //! pinned per-instruction reference. These tests drive every application
 //! workload at `Scale::Test` through both paths and require identical
 //! `Counters`, stall/branch site tables (which must still partition the
-//! aggregates), checkpoints, and architectural output — including when
-//! the run is split by a mid-stream checkpoint/restore.
+//! aggregates), per-function profile results, checkpoints, and
+//! architectural output — including when the run is split by a
+//! mid-stream checkpoint/restore.
+//!
+//! `Workload::prepare` sets per-function profile regions (Figure 1's
+//! input), so the `run_timed` side is the batched loop with region
+//! attribution on: the path every paper run takes.
 
 use bioarch::apps::{App, Scale, Variant, Workload};
 use power5_sim::fault::check_stall_partition;
@@ -22,6 +27,15 @@ fn prepared(app: App) -> (Machine, u32, usize, Vec<i32>) {
     let wl = Workload::new(app, Scale::Test, 7);
     let run = wl.prepare(Variant::Baseline, &CoreConfig::power5()).expect("prepare");
     (run.machine, run.out_addr, run.out_len, run.golden)
+}
+
+/// The two machines charged every function the same instructions and
+/// cycles. Checked apart from the checkpoint (which also carries them)
+/// so a mismatch names the function.
+fn profiles_match(app: App, batched: &Machine, pinned: &Machine) {
+    let profile = batched.profile_results();
+    assert!(!profile.is_empty(), "{}: prepared images carry profile regions", app.name());
+    assert_eq!(profile, pinned.profile_results(), "{}: profile results differ", app.name());
 }
 
 fn checkpoints_match(app: App, a: &Checkpoint, b: &Checkpoint) {
@@ -59,6 +73,9 @@ fn batched_path_matches_pinned_reference_for_every_app() {
                 .unwrap_or_else(|e| panic!("{}: stall partition broken: {e}", app.name()));
         }
 
+        // Figure 1's per-function instructions and cycles.
+        profiles_match(app, &batched, &pinned);
+
         // Full-state digest: registers, memory image, predictor tables,
         // scoreboard — everything a checkpoint captures.
         checkpoints_match(app, &batched.checkpoint(), &pinned.checkpoint());
@@ -86,6 +103,7 @@ fn batched_checkpoints_are_exact_at_mid_stream_cuts() {
         let rp = pinned.run_timed_pinned(CUT).expect("pinned first half");
         assert_eq!(rb.executed, CUT, "{}: batched budget stop is exact", app.name());
         assert_eq!(rp.executed, CUT, "{}: pinned budget stop is exact", app.name());
+        profiles_match(app, &batched, &pinned);
         let mid = batched.checkpoint();
         checkpoints_match(app, &mid, &pinned.checkpoint());
 
@@ -98,6 +116,7 @@ fn batched_checkpoints_are_exact_at_mid_stream_cuts() {
         assert!(rr.halted && rp2.halted, "{}: both second halves halt", app.name());
         assert_eq!(rr.executed, rp2.executed, "{}: second-half executed", app.name());
         assert_eq!(resumed.counters(), pinned.counters(), "{}: final counters", app.name());
+        profiles_match(app, &resumed, &pinned);
         checkpoints_match(app, &resumed.checkpoint(), &pinned.checkpoint());
     }
 }
