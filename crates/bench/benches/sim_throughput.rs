@@ -11,7 +11,9 @@
 //!   (`host.functional_fused_mips`), and with it forced off
 //!   (`host.functional_scalar_mips`), alongside `fusion.*` counters for
 //!   the fraction of retired instructions covered by superinstructions.
-//!   The timed leg is also measured on the path paper runs take
+//!   The timed leg is also measured through the per-instruction policy
+//!   (`host.timed_pinned_mips`), which cycle watchdogs, tracers and
+//!   interval sampling select, and on the path paper runs take
 //!   (`host.timed_app_mips`): the four apps' Test-scale Baseline images
 //!   as `Workload::prepare` builds them, profile regions and all, each
 //!   output checked against its golden vector;
@@ -145,6 +147,7 @@ fn main() {
             |m| m.run_functional(u64::MAX).expect("runs").executed,
         );
         let timed = mips(reps, |m| m.run_timed(u64::MAX).expect("runs").executed);
+        let timed_pinned = mips(reps, |m| m.run_timed_pinned(u64::MAX).expect("runs").executed);
         let (timed_app, wrong_apps) = timed_app_mips(reps, study.seed());
 
         // Lane-gang leg: LANES identical copies of the loop stepped
@@ -246,6 +249,7 @@ fn main() {
         report.push("host.functional_fused_mips", fused, Direction::Higher);
         report.push("host.functional_scalar_mips", scalar, Direction::Higher);
         report.push("host.timed_mips", timed, Direction::Higher);
+        report.push("host.timed_pinned_mips", timed_pinned, Direction::Higher);
         report.push("host.timed_app_mips", timed_app, Direction::Higher);
         report.push("lanes.mips", lanes_mips, Direction::Higher);
         report.push("lanes.lanes", LANES as f64, Direction::Neutral);
@@ -292,7 +296,7 @@ fn main() {
 
         let rendered = format!(
             "interpreter: functional {functional:.2} MIPS (fused {fused:.2}, scalar {scalar:.2}), \
-             timed {timed:.2} MIPS (real app images {timed_app:.2})\n\
+             timed {timed:.2} MIPS (pinned {timed_pinned:.2}, real app images {timed_app:.2})\n\
              lanes: {lanes_mips:.2} aggregate MIPS at width {LANES} \
              ({:.2}x functional, occupancy {:.1}%)\n\
              fusion: {:.1}% of retired insns inside superinstructions\n\

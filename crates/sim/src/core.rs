@@ -191,8 +191,7 @@ impl StaticTiming {
         self.flags & F_LOAD != 0
     }
 
-    /// Whether this is a store (the machine's batched loop uses this to
-    /// gate the self-modifying-code repair check).
+    /// Whether this is a store.
     #[inline]
     pub fn is_store(&self) -> bool {
         self.flags & F_STORE != 0
@@ -908,8 +907,9 @@ impl TimingCore {
     /// Account one committed instruction; returns the cycle it commits.
     ///
     /// Derives the [`StaticTiming`] record on the fly and runs the same
-    /// scheduler as the batched path, so the per-instruction reference
-    /// loop and the batched loop are identical by construction.
+    /// scheduler as the batched path, so the machine's per-instruction
+    /// reference policy and its batched policy are identical by
+    /// construction.
     pub fn retire(&mut self, r: Retired<'_>) -> u64 {
         let st = StaticTiming::of(r.insn);
         let s = self.schedule(&st, r.pc, r.event);

@@ -29,7 +29,6 @@
 //! profiler block boundaries and is therefore only compiled while no
 //! guest profiler is attached (the cache is invalidated when one is).
 
-use crate::telemetry::GuestProfiler;
 use ppc_isa::exec::{eval_cond, rlwinm_mask, step, CpuState, MemFault, Memory};
 use ppc_isa::insn::{BranchCond, Instruction};
 use ppc_isa::reg::{CrBit, Gpr};
@@ -317,8 +316,8 @@ impl LoadOp {
     }
 }
 
-/// A guest store; `exec` reports `(address, width)` so the dispatch
-/// loop can run the self-modifying-code check against the code region.
+/// A guest store; `exec` reports `(address, width)` so the executor
+/// can run the self-modifying-code check against the code region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StoreOp {
     Stw { rs: Gpr, ra: Gpr, disp: u32 },
@@ -427,7 +426,7 @@ pub(crate) enum FusedOp {
     Halt,
     /// Escape hatch for instructions without a specialized handler
     /// (future ISA growth): full scalar `step` with the PC restored
-    /// first. Treated as a store by the checked path so it always
+    /// first. Treated as a store under the lockstep oracle so it always
     /// falls back to per-instruction verification there.
     Other(Instruction),
 }
@@ -447,9 +446,9 @@ impl FusedOp {
         }
     }
 
-    /// Whether the op can write guest memory. The lockstep-checked
-    /// loop routes these to the scalar per-instruction path, which
-    /// keeps oracle replay free of store-reordering and SMC hazards.
+    /// Whether the op can write guest memory. Under the lockstep oracle
+    /// the block driver steps these scalar, which keeps oracle replay
+    /// free of store-reordering and SMC hazards.
     #[inline]
     pub(crate) fn has_store(self) -> bool {
         matches!(self, FusedOp::Store(_) | FusedOp::AluStore { .. } | FusedOp::Other(_))
@@ -492,7 +491,7 @@ impl IdiomCounts {
 #[derive(Debug, Clone)]
 pub(crate) struct FusedBlock {
     /// Upper bound on instructions retired by one execution; the
-    /// dispatch loop only enters the block when the full bound fits
+    /// block driver only enters the block when the full bound fits
     /// the remaining budget and watchdog allowance, which is what
     /// makes mid-block budget cuts identical to the scalar path.
     pub max_retire: u32,
@@ -515,8 +514,8 @@ pub(crate) struct FusedBlock {
 pub struct FusionStats {
     /// Block executions dispatched through the fused tier.
     pub fused_blocks: u64,
-    /// Block dispatches that fell back to the scalar loop (partial
-    /// budget, or fusion disabled).
+    /// Block dispatches that stepped scalar because the block's retire
+    /// bound did not fit the remaining budget or watchdog allowance.
     pub scalar_blocks: u64,
     /// Instructions retired by the fused tier.
     pub fused_insns: u64,
@@ -560,30 +559,6 @@ impl FusionStats {
             self.pair_insns.min(self.fused_insns) as f64 / self.fused_insns as f64
         }
     }
-}
-
-/// Why [`FusedCache::drive`] handed control back to the scalar loop.
-pub(crate) enum DriveStop {
-    /// The next PC has no runnable fused block — misaligned,
-    /// undecodable, out of the image, or the block's retire bound no
-    /// longer fits the remaining allowance. The caller's scalar loop
-    /// resolves it (trap or partial-budget execution).
-    Refetch,
-    /// A `trap` retired; the machine halts.
-    Halted,
-    /// A retired store touched the code region; the caller repairs the
-    /// decode tables (which clears this cache) and re-dispatches.
-    StoredCode { addr: u32, width: u32 },
-    /// A memory fault, PC parked at the faulting instruction.
-    /// `executed` excludes the faulting instruction.
-    Fault(MemFault),
-}
-
-/// Result of one [`FusedCache::drive`] call.
-pub(crate) struct DriveResult {
-    /// Instructions retired across all blocks this call dispatched.
-    pub executed: u64,
-    pub stop: DriveStop,
 }
 
 /// Lazily-populated cache of compiled blocks, parallel to the decode
@@ -633,86 +608,67 @@ impl FusedCache {
         s
     }
 
-    /// Account one block dispatch that fell back to the scalar loop.
+    /// Account one block dispatch that fell back to scalar steps.
     #[inline]
     pub(crate) fn note_scalar_block(&mut self) {
         self.stats.scalar_blocks += 1;
     }
 
-    /// The fused dispatch loop: resolve → (compile) → execute compiled
-    /// blocks back to back, staying inside this call until something
-    /// needs the machine's slow path. This keeps the retire counters in
-    /// host registers across blocks instead of round-tripping through
-    /// `Machine` fields every block.
-    ///
-    /// `allowance` is the combined remaining run-budget/watchdog
-    /// allowance (≥ 1); a block only executes when its full retire
-    /// bound fits, so budget cuts land exactly where the scalar loop
-    /// would put them.
+    /// Execute the compiled block at `slot` direct-threaded
+    /// ([`run_block`]), compiling it on first use, and count it toward
+    /// the stats. Returns `None`, having run nothing, when the block's
+    /// whole retire bound does not fit `allowance`. A block that exits
+    /// cleanly chains into the block at the new PC while that one
+    /// resolves and fits what is left of the allowance, which keeps the
+    /// retire count in a register across blocks; any other exit returns
+    /// to the machine's block driver, which acts on it. With a guest
+    /// profiler attached (`profiled`) hammocks do not compile and every
+    /// block returns, so the driver profiles blocks one at a time.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn drive(
+    pub(crate) fn execute(
         &mut self,
+        slot: usize,
         cpu: &mut CpuState,
         mem: &mut Memory,
         decoded: &[Instruction],
         run_len: &[u32],
         code_base: u32,
-        allow_hammock: bool,
         sabotage: Option<u32>,
-        mut allowance: u64,
-        mut profiler: Option<&mut GuestProfiler>,
-    ) -> DriveResult {
+        profiled: bool,
+        allowance: u64,
+    ) -> Option<BlockRun> {
+        let mut handle = self.handle_at(slot, decoded, run_len, code_base, !profiled, sabotage);
+        if u64::from(self.blocks[handle].max_retire) > allowance {
+            return None;
+        }
         let code_hi = code_base.wrapping_add((self.entry.len() as u32) * 4);
-        let mut executed: u64 = 0;
-        let stop = loop {
+        let mut retired = 0;
+        let cut = loop {
+            let block = &mut self.blocks[handle];
+            block.execs += 1;
+            let run = run_block(block, cpu, mem, code_base, code_hi);
+            retired += run.retired;
+            if profiled || !matches!(run.cut, Cut::Done) {
+                break run.cut;
+            }
             let pc = cpu.pc;
             if !pc.is_multiple_of(4) {
-                break DriveStop::Refetch;
+                break Cut::Done;
             }
             let slot = (pc.wrapping_sub(code_base) >> 2) as usize;
-            let handle = match self.entry.get(slot) {
+            handle = match self.entry.get(slot) {
                 Some(&h) if h != 0 => (h - 1) as usize,
                 Some(_) if run_len[slot] > 0 => {
-                    let block =
-                        compile_block(decoded, run_len, code_base, slot, allow_hammock, sabotage);
-                    self.blocks.push(block);
-                    let h = self.blocks.len() - 1;
-                    self.entry[slot] = h as u32 + 1;
-                    h
+                    self.compile(slot, decoded, run_len, code_base, !profiled, sabotage)
                 }
-                _ => break DriveStop::Refetch,
+                _ => break Cut::Done,
             };
-            let block = &mut self.blocks[handle];
-            if u64::from(block.max_retire) > allowance {
-                break DriveStop::Refetch;
-            }
-            block.execs += 1;
-            let br = run_block(block, cpu, mem, code_base, code_hi);
-            executed += br.retired;
-            allowance -= br.retired;
-            match br.cut {
-                Cut::Done => {
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.on_block(pc, br.retired as u32);
-                    }
-                }
-                Cut::Halt => {
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.on_block(pc, br.retired as u32);
-                    }
-                    break DriveStop::Halted;
-                }
-                Cut::StoredCode { addr, width } => {
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.on_block(pc, br.retired as u32);
-                    }
-                    break DriveStop::StoredCode { addr, width };
-                }
-                Cut::Fault(f) => break DriveStop::Fault(f),
+            if u64::from(self.blocks[handle].max_retire) > allowance - retired {
+                break Cut::Done;
             }
         };
-        self.stats.fused_insns += executed;
-        DriveResult { executed, stop }
+        self.stats.fused_insns += retired;
+        Some(BlockRun { retired, cut })
     }
 
     /// The compiled block starting at `slot`, compiling it on first
@@ -728,16 +684,27 @@ impl FusedCache {
         sabotage: Option<u32>,
     ) -> usize {
         match self.entry[slot] {
-            0 => {
-                let block =
-                    compile_block(decoded, run_len, code_base, slot, allow_hammock, sabotage);
-                self.blocks.push(block);
-                let handle = self.blocks.len() - 1;
-                self.entry[slot] = handle as u32 + 1;
-                handle
-            }
+            0 => self.compile(slot, decoded, run_len, code_base, allow_hammock, sabotage),
             h => (h - 1) as usize,
         }
+    }
+
+    /// Compile the block starting at `slot` into the cache; returns its
+    /// handle.
+    fn compile(
+        &mut self,
+        slot: usize,
+        decoded: &[Instruction],
+        run_len: &[u32],
+        code_base: u32,
+        allow_hammock: bool,
+        sabotage: Option<u32>,
+    ) -> usize {
+        let block = compile_block(decoded, run_len, code_base, slot, allow_hammock, sabotage);
+        self.blocks.push(block);
+        let handle = self.blocks.len() - 1;
+        self.entry[slot] = handle as u32 + 1;
+        handle
     }
 
     #[inline]
@@ -946,27 +913,38 @@ pub(crate) fn compile_block(
     FusedBlock { max_retire, end_pc, execs: 0, ops, idioms }
 }
 
-/// Why a fused block execution stopped.
+/// Why a block execution stopped: the one block-exit type of the fused
+/// executors and of the machine's block driver, which acts on it.
 pub(crate) enum Cut {
-    /// Ran to the block exit (terminator fired or fell off the image).
+    /// Ran to the block exit (terminator fired or fell off the image)
+    /// or to the end of its quota.
     Done,
     /// A `trap` retired; the machine halts.
     Halt,
-    /// A retired store touched the code region: the caller must run
-    /// the decode-table repair and re-dispatch at the (already
-    /// advanced) PC — the scalar fallback for the rest of the block.
+    /// A retired store touched the code region: the driver repairs the
+    /// decode tables (which clears the fused cache) and re-dispatches
+    /// at the already-advanced PC.
     StoredCode { addr: u32, width: u32 },
     /// A memory fault; the PC is parked at the faulting instruction
     /// and `retired` counts only the instructions before it.
     Fault(MemFault),
+    /// The lockstep oracle recorded a divergence at the last retirement
+    /// (checked runs only).
+    Diverged,
+    /// The last retirement committed at or past the cycle watchdog
+    /// (per-instruction timed runs only).
+    CycleWatchdog,
 }
 
-/// Result of one fused block execution.
+/// Result of one block execution.
 pub(crate) struct BlockRun {
     pub retired: u64,
     pub cut: Cut,
 }
 
+/// Whether a store of `width` bytes at `addr` overlaps the code region
+/// `[code_lo, code_hi)`: the one self-modifying-store test, shared by
+/// the block driver, the fused executors, and the lane gang.
 #[inline(always)]
 pub(crate) fn touches_code(addr: u32, width: u32, code_lo: u32, code_hi: u32) -> bool {
     let lo = u64::from(addr);
@@ -1137,9 +1115,9 @@ pub(crate) struct OpRun {
     pub halted: bool,
 }
 
-/// Execute one store-free fused op for the lockstep-checked loop,
-/// leaving `cpu.pc` architecturally correct after the op (the checked
-/// loop may stop between ops, unlike [`run_block`]).
+/// Execute one store-free fused op for a lockstep-checked run, leaving
+/// `cpu.pc` architecturally correct after the op (a checked run stops
+/// between ops, unlike [`run_block`]).
 ///
 /// # Errors
 ///
@@ -1228,7 +1206,7 @@ pub(crate) fn run_op(
             Ok(OpRun { retired: 1, halted: true })
         }
         // Store-bearing ops (and the generic escape hatch) never reach
-        // here: `FusedOp::has_store` routes them to the scalar loop.
+        // here: `FusedOp::has_store` routes them to scalar steps.
         FusedOp::Store(_) | FusedOp::AluStore { .. } | FusedOp::Other(_) => {
             debug_assert!(false, "store-bearing fused op on the checked path");
             cpu.pc = entry.pc;

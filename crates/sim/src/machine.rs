@@ -1,7 +1,8 @@
 //! Program loading and simulation drivers.
 //!
 //! A [`Machine`] couples architectural state (CPU + memory) with the
-//! [`TimingCore`]. Three drivers are provided:
+//! [`TimingCore`]. Three run calls are provided, all behind one private
+//! block driver (DESIGN §11):
 //!
 //! * [`Machine::run_functional`] — fast architectural execution only
 //!   (SystemSim's "turbo mode");
@@ -25,7 +26,7 @@
 use crate::config::CoreConfig;
 use crate::core::{CoreState, Retired, StaticTiming, TimingCore};
 use crate::counters::{ClassCounts, Counters, StallBreakdown};
-use crate::fuse::{self, DriveStop as FuseDriveStop, FusedCache, FusionStats};
+use crate::fuse::{self, BlockRun, Cut, FusedCache, FusionStats, OpEntry};
 use crate::oracle::{Divergence, Lockstep, LockstepMode};
 use crate::telemetry::GuestProfiler;
 use crate::trace::{self, JsonlSink, PipeViewSink, RingSink, SymbolMap, Tracer};
@@ -248,8 +249,8 @@ pub fn config_digest(cfg: &CoreConfig) -> u64 {
     h
 }
 
-/// Sentinel stored in invalid decode slots. Never executed: the run
-/// loops consult `run_len` first, and a zero run length routes to the
+/// Sentinel stored in invalid decode slots. Never executed: the block
+/// driver consults `run_len` first, and a zero run length routes to the
 /// [`TrapCause::BadInstruction`] path without touching `decoded`.
 const INVALID_SLOT: Instruction = Instruction::Trap;
 
@@ -259,8 +260,7 @@ const NO_REGION: u32 = u32::MAX;
 /// Charge one committed instruction to profile region `region` (or to
 /// none, for [`NO_REGION`]): the commit-cycle delta since the last
 /// commit seen goes to the region along with the instruction, and the
-/// last commit seen advances either way. Shared by every timed retire
-/// loop so their attribution cannot drift apart.
+/// last commit seen advances either way.
 #[inline]
 fn charge_region(counts: &mut [(u64, u64)], region: u32, commit: u64, last_commit_seen: &mut u64) {
     let delta = commit.saturating_sub(*last_commit_seen);
@@ -270,6 +270,102 @@ fn charge_region(counts: &mut [(u64, u64)], region: u32, commit: u64, last_commi
         c.0 += 1;
         c.1 += delta;
     }
+}
+
+/// A retire policy of the block driver ([`Machine::run_functional`],
+/// [`Machine::run_timed`]): how each stepped instruction is accounted.
+/// The flags are compile-time constants, so each instantiation of the
+/// driver keeps only its own accounting.
+trait Policy {
+    /// Dispatch through compiled fused blocks (functional only).
+    const FUSED: bool = false;
+    /// Retire through the timing core.
+    const TIMED: bool = false;
+    /// Retire from the static timing sidecar and fold the per-class
+    /// counters once per block ([`TimingCore::retire_batched`]) instead
+    /// of per instruction ([`TimingCore::retire`]).
+    const BATCHED: bool = false;
+}
+
+/// Functional, one instruction at a time.
+struct Scalar;
+/// Functional through the fused direct-threaded tier (DESIGN §16).
+struct Fused;
+/// Timed, counters folded once per block (DESIGN §13).
+struct Batched;
+/// Timed, every retirement through [`TimingCore::retire`] with its own
+/// counters and cycle-watchdog check: the per-instruction reference.
+struct Pinned;
+
+impl Policy for Scalar {}
+impl Policy for Fused {
+    const FUSED: bool = true;
+}
+impl Policy for Batched {
+    const TIMED: bool = true;
+    const BATCHED: bool = true;
+}
+impl Policy for Pinned {
+    const TIMED: bool = true;
+}
+
+/// The block driver's observer: who checks each retirement besides the
+/// policy. A type parameter, so the unchecked instantiation carries no
+/// checker branches at all.
+trait Observer {
+    /// The lockstep oracle to consult, if this observer is one.
+    fn lockstep(&mut self) -> Option<&mut Lockstep>;
+}
+
+/// No checker: the fast paths.
+struct Unchecked;
+
+impl Observer for Unchecked {
+    #[inline(always)]
+    fn lockstep(&mut self) -> Option<&mut Lockstep> {
+        None
+    }
+}
+
+impl Observer for Lockstep {
+    #[inline(always)]
+    fn lockstep(&mut self) -> Option<&mut Lockstep> {
+        Some(self)
+    }
+}
+
+/// Run one store-free fused op under the lockstep oracle: one ring
+/// entry and one sampling draw per retired constituent, like scalar
+/// steps, then a replay of the constituents against the reference
+/// semantics when any of them was due. `index` is the commit index of
+/// the first constituent.
+fn checked_op(
+    ls: &mut Lockstep,
+    entry: &OpEntry,
+    cpu: &mut CpuState,
+    mem: &mut Memory,
+    decoded: &[Instruction],
+    code_base: u32,
+    index: u64,
+) -> BlockRun {
+    let pre = cpu.clone();
+    let op = match fuse::run_op(entry, cpu, mem) {
+        Ok(op) => op,
+        Err(f) => return BlockRun { retired: 0, cut: Cut::Fault(f) },
+    };
+    let mut due = false;
+    for j in 0..op.retired {
+        ls.note_commit(entry.pc.wrapping_add(4 * j));
+        due |= ls.check_due();
+    }
+    let cut = if due && ls.verify_fused(&pre, cpu, mem, decoded, code_base, op.retired, index) {
+        Cut::Diverged
+    } else if op.halted {
+        Cut::Halt
+    } else {
+        Cut::Done
+    };
+    BlockRun { retired: u64::from(op.retired), cut }
 }
 
 /// Whether `insn` ends a straight-line run (control may leave the
@@ -284,8 +380,8 @@ fn is_block_terminator(insn: &Instruction) -> bool {
 /// `run_len[i]` is the number of instructions that can be executed
 /// starting at slot `i` before control can leave the fall-through path:
 /// `0` marks an undecodable word, a branch or `trap` counts as `1`, and
-/// a straight-line instruction extends the run that follows it. The run
-/// loops use it to dispatch whole blocks without per-instruction fetch
+/// a straight-line instruction extends the run that follows it. The block
+/// driver uses it to dispatch whole blocks without per-instruction fetch
 /// checks; a zero is the illegal-instruction sentinel that keeps the
 /// hit path free of `Option` tests.
 fn code_tables(slots: &[Option<Instruction>]) -> (Vec<Instruction>, Vec<u32>) {
@@ -466,8 +562,8 @@ impl Machine {
 
     /// Install a lockstep verification mode (see [`LockstepMode`]).
     /// [`LockstepMode::Off`] removes the checker entirely, restoring the
-    /// untouched fast run loops; any previously recorded divergence is
-    /// discarded.
+    /// unchecked driver with no checker branches; any previously
+    /// recorded divergence is discarded.
     pub fn set_lockstep(&mut self, mode: LockstepMode) {
         self.lockstep = Lockstep::new(mode);
     }
@@ -504,8 +600,8 @@ impl Machine {
     }
 
     /// Enable or disable the fused direct-threaded functional tier
-    /// (DESIGN §16). On by default; disabling falls back to the scalar
-    /// per-instruction block loop, which is architecturally identical —
+    /// (DESIGN §16). On by default; disabling falls back to scalar
+    /// per-instruction steps, which are architecturally identical —
     /// the toggle exists for A/B throughput measurement and for the
     /// fusion-legality tests. Compiled blocks are dropped on any
     /// change of setting.
@@ -522,8 +618,8 @@ impl Machine {
     }
 
     /// Fused-tier throughput counters accumulated across run calls
-    /// (unchecked functional runs; the lockstep-checked loop verifies
-    /// fused ops but does not count toward these).
+    /// (unchecked functional runs; lockstep-checked runs verify fused
+    /// ops but do not count toward these).
     pub fn fusion_stats(&self) -> FusionStats {
         self.fused.stats()
     }
@@ -580,7 +676,7 @@ impl Machine {
     }
 
     /// Credit `n` gang-retired instructions to this lane's lifetime
-    /// count, exactly as the scalar run loops do per block.
+    /// count, exactly as the block driver does per block.
     #[inline]
     pub(crate) fn lane_note_retired(&mut self, n: u64) {
         self.insns_total += n;
@@ -769,11 +865,6 @@ impl Machine {
         Trap { cause, pc, cycle: self.core.counters().cycles }
     }
 
-    /// Whether the lifetime instruction budget has expired.
-    fn insn_budget_expired(&self) -> bool {
-        self.watchdog.max_instructions.is_some_and(|limit| self.insns_total >= limit)
-    }
-
     /// Resolve `pc` against the dense pre-decoded table: the slot index
     /// and the straight-line run length starting there. Misalignment is
     /// checked *before* any index arithmetic and reported as its own
@@ -792,174 +883,56 @@ impl Machine {
         }
     }
 
-    /// How many instructions of a run of length `run` may execute before
-    /// the caller's budget or the instruction watchdog must be rechecked.
-    /// The watchdog was checked non-expired just before, so the remaining
-    /// allowance is at least one instruction.
+    /// One past the last byte of the pre-decoded code region.
     #[inline]
-    fn block_quota(&self, run: u32, remaining_budget: u64) -> u64 {
-        let mut n = u64::from(run).min(remaining_budget);
-        if let Some(limit) = self.watchdog.max_instructions {
-            n = n.min(limit - self.insns_total);
-        }
-        n
+    fn code_end(&self) -> u32 {
+        self.code_base.wrapping_add((self.decoded.len() as u32) * 4)
     }
 
-    /// Run functionally (no timing) for at most `max_insns` instructions.
+    /// Run functionally (no timing) for at most `max_insns` instructions,
+    /// through the fused direct-threaded tier unless
+    /// [`Machine::set_fusion`] turned it off.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] on memory faults or undecodable instructions.
     pub fn run_functional(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        if self.lockstep.is_some() {
-            // Lockstep checking runs in its own per-instruction loop so
-            // this hot path stays untouched when the mode is Off.
-            return self.run_functional_checked(max_insns);
+        if self.fusion_enabled {
+            self.run::<Fused>(max_insns)
+        } else {
+            self.run::<Scalar>(max_insns)
         }
-        let mut executed = 0;
-        let mut stop = StopReason::Budget;
-        'blocks: while executed < max_insns && !self.halted {
-            if self.insn_budget_expired() {
-                stop = StopReason::Watchdog(WatchdogKind::Instructions);
-                break;
-            }
-            if self.fusion_enabled {
-                // Fused direct-threaded tier (DESIGN §16): hand the PC
-                // to the fused dispatch loop, which compiles blocks on
-                // first dispatch and executes their superinstruction
-                // arrays back to back without per-instruction fetch or
-                // match. It returns for anything needing the slow path:
-                // traps, halts, self-modifying stores, and blocks whose
-                // full retire bound no longer fits the remaining
-                // budget/watchdog allowance (those run scalar below, so
-                // mid-block budget cuts land exactly where the scalar
-                // loop puts them).
-                let mut allowance = max_insns - executed;
-                if let Some(limit) = self.watchdog.max_instructions {
-                    allowance = allowance.min(limit - self.insns_total);
-                }
-                let Machine {
-                    cpu,
-                    mem,
-                    fused,
-                    decoded,
-                    run_len,
-                    profiler,
-                    fusion_sabotage,
-                    code_base,
-                    ..
-                } = &mut *self;
-                let dr = fused.drive(
-                    cpu,
-                    mem,
-                    decoded,
-                    run_len,
-                    *code_base,
-                    profiler.is_none(),
-                    *fusion_sabotage,
-                    allowance,
-                    profiler.as_deref_mut(),
-                );
-                executed += dr.executed;
-                self.insns_total += dr.executed;
-                match dr.stop {
-                    FuseDriveStop::Fault(f) => {
-                        // Like the scalar loop: prior retires stay
-                        // counted in `insns_total`, no profiler flush,
-                        // and the trap carries the faulting PC (already
-                        // parked by the fused executor).
-                        let pc = self.cpu.pc;
-                        return Err(self.trap(TrapCause::Mem(f), pc));
-                    }
-                    FuseDriveStop::Halted => {
-                        self.halted = true;
-                        continue 'blocks;
-                    }
-                    FuseDriveStop::StoredCode { addr, width } => {
-                        self.repair_stored_code(addr, width);
-                        continue 'blocks;
-                    }
-                    FuseDriveStop::Refetch => {
-                        if executed >= max_insns || self.insn_budget_expired() {
-                            continue 'blocks;
-                        }
-                        self.fused.note_scalar_block();
-                    }
-                }
-            }
-            // Dispatch one straight-line block: within it the PC only
-            // ever advances by 4 (the terminator, if any, is the last
-            // instruction of the run), so fetch, alignment, and budget
-            // checks are hoisted to the block boundary.
-            let (idx, run) = self.fetch_decode(self.cpu.pc)?;
-            let quota = self.block_quota(run, max_insns - executed);
-            let block_pc = self.cpu.pc;
-            let block_start = executed;
-            for k in 0..quota as usize {
-                let pc = self.cpu.pc;
-                let insn = self.decoded[idx + k];
-                let ev = step(&mut self.cpu, &mut self.mem, &insn)
-                    .map_err(|m| self.trap(TrapCause::Mem(m), pc))?;
-                executed += 1;
-                self.insns_total += 1;
-                if ev.halted {
-                    self.halted = true;
-                    break;
-                }
-                if let Some((addr, width, true)) = ev.mem {
-                    if self.repair_stored_code(addr, width) {
-                        // The decode tables just changed: drop the rest
-                        // of the block quota and re-fetch at the
-                        // already-advanced PC.
-                        if let Some(p) = &mut self.profiler {
-                            p.on_block(block_pc, (executed - block_start) as u32);
-                        }
-                        continue 'blocks;
-                    }
-                }
-            }
-            if let Some(p) = &mut self.profiler {
-                p.on_block(block_pc, (executed - block_start) as u32);
-            }
-        }
-        if self.halted {
-            stop = StopReason::Halted;
-        }
-        Ok(RunResult { executed, halted: self.halted, stop })
     }
 
     /// Run with full timing for at most `max_insns` instructions.
     ///
-    /// Dispatches to the block-batched retire loop unless an observer
-    /// needs every retirement on its own — a cycle watchdog, a tracer,
-    /// or interval sampling (see `timed_pin_reason`) — in which case it
-    /// runs the per-instruction reference loop
-    /// ([`Machine::run_timed_pinned`]); a lockstep oracle takes the
-    /// checked loop. Per-function profiling does not pin: the batched
-    /// loop charges each commit to its region exactly as the pinned one
-    /// does. Both paths drive the same pipeline scheduler and are
-    /// cycle-exact to each other: identical counters, stall partitions,
-    /// site heatmaps, profile results, and checkpoints.
+    /// Retires block-batched unless an observer needs every retirement
+    /// on its own — a cycle watchdog, a tracer, or interval sampling
+    /// (see `timed_pin_reason`) — in which case it takes the
+    /// per-instruction reference policy ([`Machine::run_timed_pinned`]).
+    /// Per-function profiling and the lockstep oracle do not pin: the
+    /// batched policy charges each commit to its region, and hands each
+    /// retirement to the oracle, exactly as the pinned one does. Both
+    /// policies drive the same pipeline scheduler and are cycle-exact
+    /// to each other: identical counters, stall partitions, site
+    /// heatmaps, profile results, and checkpoints.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] on memory faults or undecodable instructions.
     pub fn run_timed(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        if self.lockstep.is_some() {
-            // See `run_functional`: the checked loop is separate.
-            return self.run_timed_checked(max_insns);
-        }
         if self.timed_pin_reason().is_some() {
-            return self.run_timed_pinned(max_insns);
+            self.run::<Pinned>(max_insns)
+        } else {
+            self.run::<Batched>(max_insns)
         }
-        self.run_timed_batched(max_insns)
     }
 
-    /// Which observer pins timed runs to the per-instruction loop, if
+    /// Which observer pins timed runs to the per-instruction policy, if
     /// any: a cycle watchdog stops at the exact instruction whose commit
     /// crosses its limit, while a tracer and interval sampling record
-    /// every retirement with its own counters; the batched loop checks
-    /// and folds once per block.
+    /// every retirement with its own counters; the batched policy folds
+    /// once per block.
     fn timed_pin_reason(&self) -> Option<&'static str> {
         if self.watchdog.max_cycles.is_some() {
             Some("cycle watchdog")
@@ -972,66 +945,92 @@ impl Machine {
         }
     }
 
-    /// The per-instruction timed loop: every retirement folds its own
-    /// counters and runs its own watchdog/profiling checks. This is the
-    /// reference the batched path must match bit-for-bit (the
-    /// cycle-exactness tests pin one side of the comparison to it), and
-    /// the path [`Machine::run_timed`] takes whenever a per-instruction
-    /// observer is active. With a lockstep oracle installed it defers to
-    /// the checked loop, exactly like [`Machine::run_timed`].
+    /// Timed run through the per-instruction policy: every retirement
+    /// goes through [`TimingCore::retire`], folds its own counters and
+    /// runs its own cycle-watchdog check. This is the reference the
+    /// batched policy must match bit-for-bit (the cycle-exactness tests
+    /// pin one side of the comparison to it), and the policy
+    /// [`Machine::run_timed`] takes whenever a per-instruction observer
+    /// is active.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] on memory faults or undecodable instructions.
     pub fn run_timed_pinned(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        if self.lockstep.is_some() {
-            return self.run_timed_checked(max_insns);
+        self.run::<Pinned>(max_insns)
+    }
+
+    /// Drive policy `P` with the installed lockstep oracle as observer,
+    /// or with none. The oracle leaves the machine for the duration of
+    /// the run so the driver can borrow it alongside the machine state.
+    fn run<P: Policy>(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
+        match self.lockstep.take() {
+            None => self.drive::<P, _>(&mut Unchecked, max_insns),
+            Some(mut ls) => {
+                let result = self.drive::<P, _>(&mut ls, max_insns);
+                self.lockstep = Some(ls);
+                result
+            }
         }
+    }
+
+    /// The block driver behind every run call (DESIGN §11). Each turn
+    /// clamps the run budget and the instruction watchdog into one
+    /// allowance, resolves the block at the PC, lets policy `P` retire
+    /// what fits, credits and profiles the retirements, and then acts on
+    /// why the block stopped. It is the only code that turns a fault
+    /// into a [`Trap`], sets halt, repairs self-modifying stores, and
+    /// feeds the sampling profiler, so every policy and observer stops
+    /// the same way.
+    fn drive<P: Policy, O: Observer>(
+        &mut self,
+        obs: &mut O,
+        max_insns: u64,
+    ) -> Result<RunResult, Trap> {
         let mut executed = 0;
         let mut stop = StopReason::Budget;
-        let max_cycles = self.watchdog.max_cycles;
-        let profiling = self.profile.is_some();
-        'blocks: while executed < max_insns && !self.halted {
-            if self.insn_budget_expired() {
-                stop = StopReason::Watchdog(WatchdogKind::Instructions);
-                break;
-            }
-            // Block dispatch, as in `run_functional`; see there.
-            let (idx, run) = self.fetch_decode(self.cpu.pc)?;
-            let quota = self.block_quota(run, max_insns - executed);
-            let block_pc = self.cpu.pc;
-            let block_start = executed;
-            for k in 0..quota as usize {
-                let pc = self.cpu.pc;
-                let insn = self.decoded[idx + k];
-                let ev = step(&mut self.cpu, &mut self.mem, &insn)
-                    .map_err(|m| self.trap(TrapCause::Mem(m), pc))?;
-                let commit = self.core.retire(Retired { insn: &insn, pc, event: ev });
-                if profiling {
-                    self.attribute_profile(idx + k, commit);
-                }
-                executed += 1;
-                self.insns_total += 1;
-                if ev.halted {
-                    self.halted = true;
+        while executed < max_insns && !self.halted {
+            let mut allowance = max_insns - executed;
+            if let Some(limit) = self.watchdog.max_instructions {
+                if self.insns_total >= limit {
+                    stop = StopReason::Watchdog(WatchdogKind::Instructions);
                     break;
                 }
-                if max_cycles.is_some_and(|limit| commit >= limit) {
-                    stop = StopReason::Watchdog(WatchdogKind::Cycles);
-                    self.sample_block_timed(block_pc, executed - block_start);
-                    break 'blocks;
-                }
-                if let Some((addr, width, true)) = ev.mem {
-                    if self.repair_stored_code(addr, width) {
-                        // See `run_functional`: re-fetch after the
-                        // tables changed. The watchdog was already
-                        // checked above, so stop ordering is identical.
-                        self.sample_block_timed(block_pc, executed - block_start);
-                        continue 'blocks;
-                    }
+                allowance = allowance.min(limit - self.insns_total);
+            }
+            let block_pc = self.cpu.pc;
+            let (idx, run) = self.fetch_decode(block_pc)?;
+            let quota = u64::from(run).min(allowance) as usize;
+            let BlockRun { retired, cut } = if P::FUSED {
+                self.fused_block(obs, idx, quota, allowance)
+            } else {
+                self.step_block::<P, O>(obs, idx, quota)
+            };
+            executed += retired;
+            self.insns_total += retired;
+            // Every retirement reaches the profiler, a faulting block's
+            // included, before the stop is acted on.
+            if let Some(p) = &mut self.profiler {
+                if P::TIMED {
+                    p.on_block_timed(block_pc, retired as u32, self.core.last_commit());
+                } else {
+                    p.on_block(block_pc, retired as u32);
                 }
             }
-            self.sample_block_timed(block_pc, executed - block_start);
+            match cut {
+                Cut::Done => {}
+                Cut::Halt => self.halted = true,
+                Cut::StoredCode { addr, width } => self.repair_stored_code(addr, width),
+                Cut::Fault(f) => return Err(self.trap(TrapCause::Mem(f), self.cpu.pc)),
+                Cut::Diverged => {
+                    stop = StopReason::Diverged;
+                    break;
+                }
+                Cut::CycleWatchdog => {
+                    stop = StopReason::Watchdog(WatchdogKind::Cycles);
+                    break;
+                }
+            }
         }
         if self.halted {
             stop = StopReason::Halted;
@@ -1039,343 +1038,152 @@ impl Machine {
         Ok(RunResult { executed, halted: self.halted, stop })
     }
 
-    /// Feed one retired block to the sampling profiler (timed paths):
-    /// the block's start PC, retired length, and the core's last commit
-    /// cycle. A single `Option` test per block when disabled.
-    #[inline]
-    fn sample_block_timed(&mut self, block_pc: u32, len: u64) {
-        if let Some(p) = &mut self.profiler {
-            let commit = self.core.last_commit();
-            p.on_block_timed(block_pc, len as u32, commit);
-        }
+    /// Policy [`Fused`] on the block at slot `idx`: compiled blocks run
+    /// direct-threaded while their whole retire bound fits `allowance`
+    /// ([`FusedCache::execute`]); a block that does not fit steps
+    /// `quota` instructions scalar instead, so a budget cut lands
+    /// exactly where the scalar policy puts it. Under the lockstep
+    /// oracle a turn is a single store-free fused op, replayed against
+    /// the reference semantics, or else a single scalar instruction
+    /// (store-bearing ops and partial-allowance tails), which always
+    /// makes progress.
+    #[inline(always)]
+    fn fused_block<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        idx: usize,
+        quota: usize,
+        allowance: u64,
+    ) -> BlockRun {
+        let index = self.insns_total;
+        let Machine {
+            cpu, mem, fused, decoded, run_len, profiler, fusion_sabotage, code_base, ..
+        } = &mut *self;
+        let quota = if let Some(ls) = obs.lockstep() {
+            // Hammocks change profiler block boundaries, so they only
+            // compile while no profiler is attached.
+            let allow_hammock = profiler.is_none();
+            let handle =
+                fused.handle_at(idx, decoded, run_len, *code_base, allow_hammock, *fusion_sabotage);
+            let entry = fused.block(handle).ops[0];
+            if entry.op.has_store() || u64::from(entry.op.max_weight()) > allowance {
+                1
+            } else {
+                return checked_op(ls, &entry, cpu, mem, decoded, *code_base, index);
+            }
+        } else if let Some(run) = fused.execute(
+            idx,
+            cpu,
+            mem,
+            decoded,
+            run_len,
+            *code_base,
+            *fusion_sabotage,
+            profiler.is_some(),
+            allowance,
+        ) {
+            return run;
+        } else {
+            fused.note_scalar_block();
+            quota
+        };
+        self.step_block::<Fused, O>(obs, idx, quota)
     }
 
-    /// Fold the per-class counters of `n` just-executed instructions from
-    /// block slots `[idx, idx + n)` into the core via the sidecar's
-    /// prefix sums. Must run against the same decode tables those
-    /// instructions were executed from (i.e. *before* any repair).
-    #[inline]
-    fn flush_block_counts(&mut self, idx: usize, n: usize) {
-        if n > 0 {
+    /// Step `quota` instructions of the straight-line run at slot `idx`
+    /// one at a time: the one loop that dispatches guest instructions
+    /// individually, for every policy but a fitting fused block. Within
+    /// a run the PC only advances by 4 (a terminator is the run's last
+    /// instruction), so fetch and budget checks stay with the driver.
+    ///
+    /// After each step the first applicable stop wins: a fault (nothing
+    /// retires), a divergence, a halt, the cycle watchdog, then a store
+    /// into the code region. Timed policies retire each step through
+    /// the timing core and charge its commit to its profile region;
+    /// [`Batched`] folds the block's per-class counters once at the end,
+    /// against the prefix sums of the tables it executed from (a store
+    /// may patch an earlier slot of this very block) and before the
+    /// driver stamps a trap with the cycle count.
+    #[inline(always)]
+    fn step_block<P: Policy, O: Observer>(
+        &mut self,
+        obs: &mut O,
+        idx: usize,
+        quota: usize,
+    ) -> BlockRun {
+        let (code_lo, code_end) = (self.code_base, self.code_end());
+        let max_cycles = self.watchdog.max_cycles;
+        let first_index = self.insns_total;
+        let Machine {
+            cpu,
+            mem,
+            core,
+            decoded,
+            timing,
+            profile,
+            region_index,
+            last_commit_seen,
+            ..
+        } = &mut *self;
+        // The region index covers every code slot whenever profiling is
+        // on (`rebuild_region_index`), so the block's slice exists.
+        let mut attribution = match profile {
+            Some((_, counts)) if P::TIMED => {
+                Some((counts.as_mut_slice(), &region_index[idx..idx + quota]))
+            }
+            _ => None,
+        };
+        let mut n = 0usize;
+        let mut cut = Cut::Done;
+        for (insn, st) in decoded[idx..idx + quota].iter().zip(&timing[idx..idx + quota]) {
+            let pre = obs.lockstep().and_then(|ls| ls.check_due().then(|| cpu.clone()));
+            let pc = cpu.pc;
+            let ev = match step(cpu, mem, insn) {
+                Ok(ev) => ev,
+                Err(f) => {
+                    cut = Cut::Fault(f);
+                    break;
+                }
+            };
+            let commit = if P::BATCHED {
+                core.retire_batched(st, pc, ev)
+            } else if P::TIMED {
+                core.retire(Retired { insn, pc, event: ev })
+            } else {
+                0
+            };
+            if let Some((counts, regions)) = &mut attribution {
+                charge_region(counts, regions[n], commit, last_commit_seen);
+            }
+            n += 1;
+            if let Some(ls) = obs.lockstep() {
+                ls.note_commit(pc);
+                let index = first_index + n as u64 - 1;
+                if pre.is_some_and(|pre| ls.verify_commit(&pre, cpu, mem, insn, ev, index)) {
+                    cut = Cut::Diverged;
+                    break;
+                }
+            }
+            if ev.halted {
+                cut = Cut::Halt;
+                break;
+            }
+            if P::TIMED && !P::BATCHED && max_cycles.is_some_and(|limit| commit >= limit) {
+                cut = Cut::CycleWatchdog;
+                break;
+            }
+            if let Some((addr, width, true)) = ev.mem {
+                if fuse::touches_code(addr, width, code_lo, code_end) {
+                    cut = Cut::StoredCode { addr, width };
+                    break;
+                }
+            }
+        }
+        if P::BATCHED && n > 0 {
             let d = self.class_prefix[idx + n].minus(&self.class_prefix[idx]);
             self.core.flush_block(d);
         }
-    }
-
-    /// The block-batched timed loop. Each straight-line block retires
-    /// through the precomputed [`StaticTiming`] sidecar; the per-class
-    /// counter increments are folded once per block from the prefix sums
-    /// (flushed early when a trap, a halt, or a self-modifying store cuts
-    /// the block short), and budget/watchdog checks run once per block
-    /// via the same quota logic as the other loops. Only entered when no
-    /// per-instruction observer is active, so hoisting those checks
-    /// cannot change observable behaviour. Per-function profiling stays
-    /// per instruction: each commit cycle `retire_batched` returns is
-    /// charged to its slot's region as it retires.
-    fn run_timed_batched(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        /// Why the block loop stopped before exhausting its quota.
-        enum Cut {
-            Quota,
-            Halt,
-            Fault(MemFault, u32),
-            StoredCode(u32, u32),
-        }
-        let mut executed = 0;
-        let mut stop = StopReason::Budget;
-        while executed < max_insns && !self.halted {
-            if self.insn_budget_expired() {
-                stop = StopReason::Watchdog(WatchdogKind::Instructions);
-                break;
-            }
-            let (idx, run) = self.fetch_decode(self.cpu.pc)?;
-            let quota = self.block_quota(run, max_insns - executed) as usize;
-            let block_pc = self.cpu.pc;
-            // Code-region bounds for the self-modifying-store check
-            // (`store_touches_code`, inlined), read before `self` is
-            // split into disjoint field borrows below.
-            let code_lo = u64::from(self.code_base);
-            let code_hi = code_lo + (self.decoded.len() as u64) * 4;
-            // Split borrows: `step` mutates cpu/mem while the decode and
-            // timing tables are read in lockstep. Iterating the two
-            // slices zipped (instead of indexing per instruction) drops
-            // the bounds checks and the sidecar copy from the hot loop.
-            let Machine {
-                cpu,
-                mem,
-                core,
-                decoded,
-                timing,
-                profile,
-                region_index,
-                last_commit_seen,
-                ..
-            } = &mut *self;
-            // The region index covers every code slot whenever profiling
-            // is on (`rebuild_region_index`), so the block's slice exists.
-            let mut attribution = profile
-                .as_mut()
-                .map(|(_, counts)| (counts.as_mut_slice(), &region_index[idx..idx + quota]));
-            let mut n = 0usize;
-            let mut cut = Cut::Quota;
-            for (insn, st) in decoded[idx..idx + quota].iter().zip(&timing[idx..idx + quota]) {
-                let pc = cpu.pc;
-                let ev = match step(cpu, mem, insn) {
-                    Ok(ev) => ev,
-                    Err(m) => {
-                        cut = Cut::Fault(m, pc);
-                        break;
-                    }
-                };
-                let commit = core.retire_batched(st, pc, ev);
-                if let Some((counts, regions)) = &mut attribution {
-                    charge_region(counts, regions[n], commit, last_commit_seen);
-                }
-                n += 1;
-                if ev.halted {
-                    cut = Cut::Halt;
-                    break;
-                }
-                if st.is_store() {
-                    if let Some((addr, width, true)) = ev.mem {
-                        let lo = u64::from(addr);
-                        let hi = lo + u64::from(width.max(1)) - 1;
-                        if lo < code_hi && hi >= code_lo {
-                            cut = Cut::StoredCode(addr, width);
-                            break;
-                        }
-                    }
-                }
-            }
-            // Fold the block's counters against the *pre-repair* prefix
-            // sums (its instructions executed under the old tables — a
-            // store may patch an earlier, already-executed slot of this
-            // very block), and before any trap is constructed so the trap
-            // is stamped with an up-to-date cycle count, exactly as the
-            // per-instruction loop would produce.
-            self.flush_block_counts(idx, n);
-            self.insns_total += n as u64;
-            self.sample_block_timed(block_pc, n as u64);
-            match cut {
-                Cut::Fault(m, pc) => return Err(self.trap(TrapCause::Mem(m), pc)),
-                Cut::Halt => {
-                    executed += n as u64;
-                    self.halted = true;
-                }
-                Cut::StoredCode(addr, width) => {
-                    executed += n as u64;
-                    self.repair_stored_code(addr, width);
-                }
-                Cut::Quota => executed += n as u64,
-            }
-        }
-        if self.halted {
-            stop = StopReason::Halted;
-        }
-        Ok(RunResult { executed, halted: self.halted, stop })
-    }
-
-    /// Functional run with lockstep verification: per-instruction
-    /// dispatch (no block hoisting — correctness checking, not speed),
-    /// with every commit the sampler selects re-derived by the oracle
-    /// and compared. Architecturally identical to [`Machine::run_functional`]
-    /// up to the first divergence, which stops the run with
-    /// [`StopReason::Diverged`].
-    fn run_functional_checked(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        let mut executed = 0;
-        let mut stop = StopReason::Budget;
-        let code_base = self.code_base;
-        'run: while executed < max_insns && !self.halted {
-            if self.insn_budget_expired() {
-                stop = StopReason::Watchdog(WatchdogKind::Instructions);
-                break;
-            }
-            let (idx, _run) = self.fetch_decode(self.cpu.pc)?;
-            if self.fusion_enabled {
-                // Verify the *fused* tier at op granularity: execute
-                // each store-free superinstruction with the fused
-                // handler, then let the oracle replay its constituents
-                // against the reference semantics
-                // (`Lockstep::verify_fused`). Store-bearing ops and
-                // partial-budget tails break out to the scalar
-                // per-instruction body below, which always makes
-                // progress.
-                let handle = {
-                    let Machine { fused, decoded, run_len, profiler, fusion_sabotage, .. } =
-                        &mut *self;
-                    fused.handle_at(
-                        idx,
-                        decoded,
-                        run_len,
-                        code_base,
-                        profiler.is_none(),
-                        *fusion_sabotage,
-                    )
-                };
-                let n_ops = self.fused.block(handle).ops.len();
-                let mut ran = false;
-                for k in 0..n_ops {
-                    if executed >= max_insns || self.halted || self.insn_budget_expired() {
-                        break;
-                    }
-                    let entry = self.fused.block(handle).ops[k];
-                    let mut allowance = max_insns - executed;
-                    if let Some(limit) = self.watchdog.max_instructions {
-                        allowance = allowance.min(limit - self.insns_total);
-                    }
-                    if entry.op.has_store() || u64::from(entry.op.max_weight()) > allowance {
-                        break;
-                    }
-                    let pre = self.cpu.clone();
-                    let base_index = self.insns_total;
-                    let opr = fuse::run_op(&entry, &mut self.cpu, &mut self.mem)
-                        .map_err(|m| self.trap(TrapCause::Mem(m), entry.pc))?;
-                    executed += u64::from(opr.retired);
-                    self.insns_total += u64::from(opr.retired);
-                    ran = true;
-                    let mut due = false;
-                    if let Some(ls) = self.lockstep.as_mut() {
-                        // One ring entry and one sampling draw per
-                        // retired constituent, like the scalar loop.
-                        for j in 0..opr.retired {
-                            ls.note_commit(entry.pc.wrapping_add(4 * j));
-                            due |= ls.check_due();
-                        }
-                    }
-                    if due {
-                        if let Some(ls) = self.lockstep.as_mut() {
-                            if ls.verify_fused(
-                                &pre,
-                                &self.cpu,
-                                &mut self.mem,
-                                &self.decoded,
-                                code_base,
-                                opr.retired,
-                                base_index,
-                            ) {
-                                stop = StopReason::Diverged;
-                                break 'run;
-                            }
-                        }
-                    }
-                    if opr.halted {
-                        self.halted = true;
-                        break;
-                    }
-                }
-                if ran {
-                    continue 'run;
-                }
-            }
-            let pc = self.cpu.pc;
-            let insn = self.decoded[idx];
-            let check = self.lockstep.as_mut().is_some_and(Lockstep::check_due);
-            let pre = if check { Some(self.cpu.clone()) } else { None };
-            let ev = step(&mut self.cpu, &mut self.mem, &insn)
-                .map_err(|m| self.trap(TrapCause::Mem(m), pc))?;
-            executed += 1;
-            self.insns_total += 1;
-            if let Some(ls) = self.lockstep.as_mut() {
-                ls.note_commit(pc);
-                if let Some(pre) = &pre {
-                    if ls.verify_commit(
-                        pre,
-                        &self.cpu,
-                        &mut self.mem,
-                        &insn,
-                        ev,
-                        self.insns_total - 1,
-                    ) {
-                        stop = StopReason::Diverged;
-                        break;
-                    }
-                }
-            }
-            if ev.halted {
-                self.halted = true;
-                break;
-            }
-            if let Some((addr, width, true)) = ev.mem {
-                // Same self-modifying-code repair as the unchecked loop;
-                // the next iteration re-fetches anyway.
-                self.repair_stored_code(addr, width);
-            }
-        }
-        if self.halted {
-            stop = StopReason::Halted;
-        }
-        Ok(RunResult { executed, halted: self.halted, stop })
-    }
-
-    /// Timed run with lockstep verification; retires the same commit
-    /// stream as [`Machine::run_timed`], so counters are identical to an
-    /// unchecked run up to the first divergence.
-    fn run_timed_checked(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        let mut executed = 0;
-        let mut stop = StopReason::Budget;
-        let max_cycles = self.watchdog.max_cycles;
-        let profiling = self.profile.is_some();
-        while executed < max_insns && !self.halted {
-            if self.insn_budget_expired() {
-                stop = StopReason::Watchdog(WatchdogKind::Instructions);
-                break;
-            }
-            let (idx, _run) = self.fetch_decode(self.cpu.pc)?;
-            let pc = self.cpu.pc;
-            let insn = self.decoded[idx];
-            let check = self.lockstep.as_mut().is_some_and(Lockstep::check_due);
-            let pre = if check { Some(self.cpu.clone()) } else { None };
-            let ev = step(&mut self.cpu, &mut self.mem, &insn)
-                .map_err(|m| self.trap(TrapCause::Mem(m), pc))?;
-            let commit = self.core.retire(Retired { insn: &insn, pc, event: ev });
-            if profiling {
-                self.attribute_profile(idx, commit);
-            }
-            executed += 1;
-            self.insns_total += 1;
-            if let Some(ls) = self.lockstep.as_mut() {
-                ls.note_commit(pc);
-                if let Some(pre) = &pre {
-                    if ls.verify_commit(
-                        pre,
-                        &self.cpu,
-                        &mut self.mem,
-                        &insn,
-                        ev,
-                        self.insns_total - 1,
-                    ) {
-                        stop = StopReason::Diverged;
-                        break;
-                    }
-                }
-            }
-            if ev.halted {
-                self.halted = true;
-                break;
-            }
-            if max_cycles.is_some_and(|limit| commit >= limit) {
-                stop = StopReason::Watchdog(WatchdogKind::Cycles);
-                break;
-            }
-            if let Some((addr, width, true)) = ev.mem {
-                // Same self-modifying-code repair as the unchecked loop;
-                // the next iteration re-fetches anyway.
-                self.repair_stored_code(addr, width);
-            }
-        }
-        if self.halted {
-            stop = StopReason::Halted;
-        }
-        Ok(RunResult { executed, halted: self.halted, stop })
-    }
-
-    /// Charge one committed instruction (at code slot `slot`, committing
-    /// at cycle `commit`) to its profile region via the dense index.
-    /// Only called when profiling is enabled.
-    fn attribute_profile(&mut self, slot: usize, commit: u64) {
-        if let Some((_, counts)) = &mut self.profile {
-            let region = self.region_index.get(slot).copied().unwrap_or(NO_REGION);
-            charge_region(counts, region, commit, &mut self.last_commit_seen);
-        }
+        BlockRun { retired: n as u64, cut }
     }
 
     /// Run to completion (or `budget` instructions) with SMARTS-style
@@ -1414,11 +1222,9 @@ impl Machine {
             if self.halted || total >= budget {
                 break;
             }
-            // Timed warm-up: run with timing but discard the counter delta.
-            let before_warm = self.core.counters();
+            // Timed warm-up: its counter delta is never measured.
             let r = self.run_timed(sampling.warmup.min(budget - total))?;
             total += r.executed;
-            let _ = before_warm; // warm-up deltas are deliberately dropped
             if matches!(r.stop, StopReason::Watchdog(_) | StopReason::Diverged) {
                 stop = r.stop;
                 break;
@@ -1513,28 +1319,15 @@ impl Machine {
         self.fused.clear();
     }
 
-    /// Whether a store of `width` bytes at `addr` overlaps the pre-decoded
-    /// code region (the read-only test the batched loop uses before it
-    /// flushes its block accumulators and repairs the tables).
-    #[inline]
-    fn store_touches_code(&self, addr: u32, width: u32) -> bool {
-        let base = u64::from(self.code_base);
-        let end = base + (self.decoded.len() as u64) * 4;
-        let lo = u64::from(addr);
-        let hi = lo + u64::from(width.max(1)) - 1;
-        lo < end && hi >= base
-    }
-
     /// Re-decode every code slot a just-executed store touched. The
     /// decode and run-length tables are derived from memory, and every
     /// writer must repair them — including the program's own stores
     /// (self-modifying code; in practice a fault-corrupted wild store
-    /// landing in the code region). Returns whether any slot changed,
-    /// so block dispatch can re-fetch. No-op for the overwhelmingly
-    /// common store outside the code region.
-    pub(crate) fn repair_stored_code(&mut self, addr: u32, width: u32) -> bool {
-        if !self.store_touches_code(addr, width) {
-            return false;
+    /// landing in the code region). No-op for the overwhelmingly common
+    /// store outside the code region.
+    pub(crate) fn repair_stored_code(&mut self, addr: u32, width: u32) {
+        if !fuse::touches_code(addr, width, self.code_base, self.code_end()) {
+            return;
         }
         let base = u64::from(self.code_base);
         let end = base + (self.decoded.len() as u64) * 4;
@@ -1547,7 +1340,6 @@ impl Machine {
             let insn = self.mem.load_u32(word_addr).ok().and_then(|w| decode(w).ok());
             self.patch_code_slot(slot as usize, insn);
         }
-        true
     }
 
     /// Flip one bit of a data byte (out-of-range addresses are ignored).
@@ -1859,6 +1651,67 @@ loop:
         assert!(rep_b.block_len.max() <= 5);
     }
 
+    /// Three `COUNT_LOOP`-style iterations, then a load through `r9`
+    /// (pointed outside memory by the test) in the middle of the next
+    /// block: 11 instructions retire before the fault.
+    const TRAP_MID_BLOCK: &str = "
+entry:
+    li r3, 0
+    li r4, 3
+    mtctr r4
+loop:
+    addi r3, r3, 1
+    bdnz loop
+    li r5, 1
+    li r7, 2
+    lwz r6, 0(r9)
+    trap
+";
+
+    #[test]
+    fn sampling_profiler_counts_every_retirement_on_every_path() {
+        // Every policy, with and without the oracle, hands the profiler
+        // each retired block, a trapping block's partial retirements
+        // included; the timed policies hand it the same blocks either way.
+        type Run = fn(&mut Machine) -> Result<RunResult, Trap>;
+        let paths: [(&str, bool, Run); 4] = [
+            ("fused", false, |m| m.run_functional(u64::MAX)),
+            ("scalar", false, |m| {
+                m.set_fusion(false);
+                m.run_functional(u64::MAX)
+            }),
+            ("batched", true, |m| m.run_timed(u64::MAX)),
+            ("pinned", true, |m| m.run_timed_pinned(u64::MAX)),
+        ];
+        for (src, halts) in [(COUNT_LOOP, true), (TRAP_MID_BLOCK, false)] {
+            for (path, timed, run) in paths {
+                let mut reports = Vec::new();
+                for mode in [LockstepMode::Off, LockstepMode::Full] {
+                    let mut m = machine(src);
+                    m.cpu_mut().gpr[9] = 0xFFFF_0000;
+                    m.set_sampling_profiler(3);
+                    m.set_lockstep(mode);
+                    let r = run(&mut m);
+                    if halts {
+                        assert!(r.unwrap().halted, "{path} {mode:?}");
+                    } else {
+                        assert!(
+                            matches!(r.unwrap_err().cause, TrapCause::Mem(_)),
+                            "{path} {mode:?}"
+                        );
+                        assert_eq!(m.insns_total(), 11, "{path} {mode:?}");
+                    }
+                    let p = m.take_profiler().unwrap();
+                    assert_eq!(p.insns(), m.insns_total(), "{path} {mode:?} halts={halts}");
+                    reports.push(p.report(None));
+                }
+                if timed {
+                    assert_eq!(reports[0], reports[1], "{path} halts={halts}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn only_per_instruction_observers_pin_timed_runs() {
         // Profile regions (which every paper run sets) and instruction
@@ -1948,21 +1801,29 @@ donor:
         for cut in 0..=total {
             let mut batched = profiled_smc_machine();
             let mut pinned = profiled_smc_machine();
+            let mut checked = profiled_smc_machine();
+            checked.set_lockstep(LockstepMode::Full);
             batched.run_timed(cut).unwrap();
             pinned.run_timed_pinned(cut).unwrap();
+            checked.run_timed(cut).unwrap();
             assert_eq!(batched.profile_results(), pinned.profile_results(), "cut {cut}");
+            assert_eq!(checked.profile_results(), pinned.profile_results(), "cut {cut}");
             let mid = batched.checkpoint();
             assert_eq!(mid, pinned.checkpoint(), "cut {cut}");
+            assert_eq!(mid, checked.checkpoint(), "cut {cut}");
 
-            // Finish three ways: in place, pinned, and batched in a
-            // fresh machine restored from the batched mid-point (the
-            // restore reinstalls the regions from the checkpoint).
+            // Finish four ways: in place, pinned, under full lockstep,
+            // and batched in a fresh machine restored from the batched
+            // mid-point (the restore reinstalls the regions from the
+            // checkpoint).
             let mut resumed = machine(PROFILED_SMC_LOOP);
             resumed.restore(&mid).unwrap();
             batched.run_timed(u64::MAX).unwrap();
             pinned.run_timed_pinned(u64::MAX).unwrap();
+            checked.run_timed(u64::MAX).unwrap();
             resumed.run_timed(u64::MAX).unwrap();
-            for m in [&batched, &pinned, &resumed] {
+            assert!(checked.take_divergence().is_none(), "cut {cut}");
+            for m in [&batched, &pinned, &checked, &resumed] {
                 assert_eq!(m.profile_results(), gold.profile_results(), "cut {cut}");
                 assert_eq!(m.checkpoint(), gold.checkpoint(), "cut {cut}");
             }

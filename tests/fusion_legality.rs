@@ -6,7 +6,7 @@
 //! budget expires mid-block and programs that store into their own code
 //! image from inside a fused region.
 
-use power5_sim::{Checkpoint, CoreConfig, Machine};
+use power5_sim::{Checkpoint, CoreConfig, LockstepMode, Machine};
 use proptest::prelude::*;
 
 const BASE: u32 = 0x1000;
@@ -166,12 +166,25 @@ proptest! {
         fused.set_fusion(true);
         let mut scalar = machine_for(&asm);
         scalar.set_fusion(false);
+        // Both tiers again under the full lockstep oracle, which must
+        // agree with every commit and land on the same trail.
+        let mut checked_fused = machine_for(&asm);
+        checked_fused.set_lockstep(LockstepMode::Full);
+        let mut checked_scalar = machine_for(&asm);
+        checked_scalar.set_fusion(false);
+        checked_scalar.set_lockstep(LockstepMode::Full);
         let (tf, ts) = {
             let (cf, tf) = run_chunked(&mut fused, &chunks);
             let (cs, ts) = run_chunked(&mut scalar, &chunks);
             prop_assert_eq!(cf.len(), cs.len());
             for (i, (a, b)) in cf.iter().zip(&cs).enumerate() {
                 prop_assert_eq!(a, b, "checkpoint {i} diverged");
+            }
+            for checked in [&mut checked_fused, &mut checked_scalar] {
+                let (cc, tc) = run_chunked(checked, &chunks);
+                prop_assert_eq!(&cc, &cf, "checked trail diverged");
+                prop_assert_eq!(tc, tf);
+                prop_assert!(checked.take_divergence().is_none());
             }
             (tf, ts)
         };

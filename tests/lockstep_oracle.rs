@@ -136,13 +136,23 @@ proptest! {
         let snapshot = a.checkpoint();
         let mut b = make();
         b.restore(&snapshot).expect("restore snapshot");
+        // A third copy runs under the full lockstep oracle: flipped-code
+        // traps and both watchdog stops must land identically there too.
+        let mut c = make();
+        c.restore(&snapshot).expect("restore snapshot");
+        c.set_lockstep(LockstepMode::Full);
         let budget = Watchdog { max_cycles: Some(200_000), max_instructions: Some(100_000) };
         a.set_watchdog(budget);
         b.set_watchdog(budget);
+        c.set_watchdog(budget);
         let ra = a.run_timed(u64::MAX);
         let rb = b.run_timed(u64::MAX);
+        let rc = c.run_timed(u64::MAX);
         prop_assert_eq!(ra, rb);
+        prop_assert_eq!(ra, rc);
         prop_assert_eq!(a.counters(), b.counters());
+        prop_assert_eq!(a.counters(), c.counters());
         prop_assert_eq!(a.checkpoint(), b.checkpoint());
+        prop_assert_eq!(a.checkpoint(), c.checkpoint());
     }
 }
