@@ -458,21 +458,11 @@ pub struct CampaignConfig {
     /// Compact the journal when it exceeds this many records; 0 never
     /// compacts.
     pub compact_threshold: u64,
-    /// Batch width for lane-parallel claiming (min 1). Above 1, each
-    /// in-process worker claims up to this many *compatible* jobs —
-    /// same app/variant/hw/scale, differing seed — per dispatch
-    /// ([`Campaign::claim_batch_for`]), and remote workers claiming
-    /// through [`Campaign::claim_for`] get compatibility affinity:
-    /// consecutive claims prefer jobs matching the worker's previous
-    /// one. Claim interleaving never affects the merged report (it is
-    /// built in submission order), so any width yields byte-identical
-    /// reports.
-    pub lanes: usize,
 }
 
 impl CampaignConfig {
     /// Defaults: 1 worker, unchunked, unbudgeted, 3 attempts, 60 s
-    /// lease timeout, no compaction, no lane batching.
+    /// lease timeout, no compaction.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CampaignConfig {
             dir: dir.into(),
@@ -482,7 +472,6 @@ impl CampaignConfig {
             max_attempts: 3,
             lease_timeout_ms: 60_000,
             compact_threshold: 0,
-            lanes: 1,
         }
     }
 }
@@ -526,28 +515,6 @@ pub enum Claim {
     Finished,
 }
 
-/// What a batch claim attempt produced ([`Campaign::claim_batch_for`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchClaim {
-    /// One or more compatible jobs leased to the asking worker (the
-    /// first is the anchor; the rest share its app/variant/hw/scale).
-    Jobs(Vec<LeasedJob>),
-    /// Nothing claimable right now, but live leases exist.
-    Busy,
-    /// The campaign is draining: stop claiming.
-    Drained,
-    /// Every job is terminal, or the incarnation crashed: stop.
-    Finished,
-}
-
-/// Whether two jobs may share a lane batch: everything but the seed
-/// (and thus the generated input data) must match, which is exactly
-/// the compatibility class the lane gang requires — one code image,
-/// one hardware configuration, one scale.
-fn lane_compatible(a: JobSpec, b: JobSpec) -> bool {
-    a.app == b.app && a.variant == b.variant && a.hw == b.hw && a.scale == b.scale
-}
-
 /// What [`Campaign`] did with a remotely retired result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetireOutcome {
@@ -586,10 +553,6 @@ struct Inner {
     crash_after: Option<u64>,
     crashed: bool,
     truncated_tail: bool,
-    /// Last spec each worker claimed — the compatibility-affinity hint
-    /// used when `config.lanes > 1`. In-memory only (not journaled):
-    /// affinity is a scheduling preference, never a correctness input.
-    affinity: HashMap<u64, JobSpec>,
 }
 
 /// The campaign service: open (replaying the journal), submit jobs, run
@@ -637,7 +600,6 @@ impl Campaign {
             crash_after: None,
             crashed: false,
             truncated_tail: false,
-            affinity: HashMap::new(),
         };
         let text = match std::fs::read_to_string(&journal) {
             Ok(text) => text,
@@ -965,34 +927,14 @@ impl Campaign {
         self.summary()
     }
 
-    /// One worker shard: claim pending (or lease-expired) jobs and
-    /// execute them until nothing is claimable. With `config.lanes > 1`
-    /// the shard claims whole compatible batches per dispatch and
-    /// retires them back to back, keeping sibling leases warm while
-    /// earlier batch members execute.
+    /// One worker shard: claim pending (or lease-expired) jobs one at a
+    /// time and execute them until nothing is claimable.
     fn worker(&self, w: u64) {
-        let lanes = self.config.lanes.max(1);
-        if lanes <= 1 {
-            loop {
-                match self.claim_for(w) {
-                    Claim::Job(job) => self.execute(w, &job.id, job.spec, job.attempts),
-                    Claim::Busy => std::thread::sleep(std::time::Duration::from_millis(2)),
-                    Claim::Drained | Claim::Finished => return,
-                }
-            }
-        }
         loop {
-            match self.claim_batch_for(w, lanes) {
-                BatchClaim::Jobs(jobs) => {
-                    for (k, job) in jobs.iter().enumerate() {
-                        for other in &jobs[k + 1..] {
-                            self.touch_lease(&other.id, w);
-                        }
-                        self.execute(w, &job.id, job.spec, job.attempts);
-                    }
-                }
-                BatchClaim::Busy => std::thread::sleep(std::time::Duration::from_millis(2)),
-                BatchClaim::Drained | BatchClaim::Finished => return,
+            match self.claim_for(w) {
+                Claim::Job(job) => self.execute(w, &job.id, job.spec, job.attempts),
+                Claim::Busy => std::thread::sleep(std::time::Duration::from_millis(2)),
+                Claim::Drained | Claim::Finished => return,
             }
         }
     }
@@ -1012,14 +954,7 @@ impl Campaign {
         }
         let now = now_ms();
         let timeout = self.config.lease_timeout_ms;
-        // With lane batching enabled, prefer a claimable job compatible
-        // with this worker's previous claim: remote workers (which batch
-        // through repeated single claims over the unchanged wire
-        // protocol) then stream compatible jobs back to back. With
-        // `lanes <= 1` the scan is the original first-claimable walk.
-        let affinity = if self.config.lanes > 1 { st.affinity.get(&w).copied() } else { None };
-        let mut first: Option<(String, bool)> = None;
-        let mut affine: Option<(String, bool)> = None;
+        let mut claim: Option<(String, bool)> = None;
         let mut live = false;
         for id in &st.order {
             let Some(job) = st.jobs.get(id) else { continue };
@@ -1035,18 +970,10 @@ impl Campaign {
                 }
                 _ => continue,
             };
-            if first.is_none() {
-                first = Some((id.clone(), reclaimed));
-                if affinity.is_none() {
-                    break;
-                }
-            }
-            if affinity.is_some_and(|a| lane_compatible(a, job.spec)) {
-                affine = Some((id.clone(), reclaimed));
-                break;
-            }
+            claim = Some((id.clone(), reclaimed));
+            break;
         }
-        match affine.or(first) {
+        match claim {
             Some((id, reclaimed)) => {
                 let started = Instant::now();
                 let job = st.jobs.get_mut(&id).expect("claimed job exists");
@@ -1060,9 +987,6 @@ impl Campaign {
                 if !self.append(&mut st, &doc) {
                     return Claim::Finished;
                 }
-                if self.config.lanes > 1 {
-                    st.affinity.insert(w, spec);
-                }
                 if let Some(hub) = &self.telemetry {
                     hub.phase_host("lease", started.elapsed().as_nanos() as u64);
                     if reclaimed {
@@ -1074,90 +998,6 @@ impl Campaign {
             None if live => Claim::Busy,
             None => Claim::Finished,
         }
-    }
-
-    /// Claim up to `max` *compatible* jobs — same app/variant/hw/scale,
-    /// differing seed — for worker `w` in one locked pass, appending a
-    /// `lease` record per job. The anchor job is chosen exactly like
-    /// [`Campaign::claim_for`] (first claimable, with affinity to the
-    /// worker's previous claim); the rest are the next claimable jobs
-    /// in submission order that share the anchor's compatibility class.
-    /// The merged report is built in submission order from terminal
-    /// states, so batch claiming cannot change its bytes.
-    pub fn claim_batch_for(&self, w: u64, max: usize) -> BatchClaim {
-        let max = max.max(1);
-        if self.draining.load(Ordering::SeqCst) {
-            return BatchClaim::Drained;
-        }
-        let mut st = lock(&self.inner);
-        if st.crashed {
-            return BatchClaim::Finished;
-        }
-        let now = now_ms();
-        let timeout = self.config.lease_timeout_ms;
-        let mut claimable: Vec<(String, bool)> = Vec::new();
-        let mut live = false;
-        for id in &st.order {
-            match st.jobs.get(id).map(|j| &j.status) {
-                Some(JobStatus::Pending) => claimable.push((id.clone(), false)),
-                Some(JobStatus::Leased { hb, .. }) => {
-                    if now.saturating_sub(*hb) > timeout {
-                        claimable.push((id.clone(), true));
-                    } else {
-                        live = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if claimable.is_empty() {
-            return if live { BatchClaim::Busy } else { BatchClaim::Finished };
-        }
-        let spec_of = |st: &Inner, id: &str| st.jobs.get(id).expect("claimable job exists").spec;
-        let anchor = st
-            .affinity
-            .get(&w)
-            .copied()
-            .and_then(|a| claimable.iter().position(|(id, _)| lane_compatible(a, spec_of(&st, id))))
-            .unwrap_or(0);
-        let anchor_spec = spec_of(&st, &claimable[anchor].0);
-        let mut picks: Vec<(String, bool)> = vec![claimable[anchor].clone()];
-        for (k, entry) in claimable.iter().enumerate() {
-            if picks.len() >= max {
-                break;
-            }
-            if k != anchor && lane_compatible(anchor_spec, spec_of(&st, &entry.0)) {
-                picks.push(entry.clone());
-            }
-        }
-        let started = Instant::now();
-        let mut jobs = Vec::with_capacity(picks.len());
-        let mut reclaims = 0u64;
-        for (id, reclaimed) in picks {
-            let job = st.jobs.get_mut(&id).expect("claimed job exists");
-            job.status = JobStatus::Leased { worker: w, hb: now };
-            let (spec, attempts) = (job.spec, job.attempts);
-            let doc = Json::obj()
-                .set("rec", Json::Str("lease".to_string()))
-                .set("job", Json::Str(id.clone()))
-                .set("worker", Json::Num(w as f64))
-                .set("hb", Json::Num(now as f64));
-            if !self.append(&mut st, &doc) {
-                return BatchClaim::Finished;
-            }
-            reclaims += u64::from(reclaimed);
-            jobs.push(LeasedJob { id, spec, attempts });
-        }
-        st.affinity.insert(w, anchor_spec);
-        if let Some(hub) = &self.telemetry {
-            hub.phase_host("lease", started.elapsed().as_nanos() as u64);
-            hub.count_host("campaign.batch_claims", 1);
-            hub.count_host("campaign.batch_jobs", jobs.len() as u64);
-            if reclaims > 0 {
-                hub.count_host("campaign.lease_reclaims", reclaims);
-            }
-        }
-        BatchClaim::Jobs(jobs)
     }
 
     /// Refresh the heartbeat on a lease held by worker `w`. A heartbeat
@@ -1946,74 +1786,6 @@ mod tests {
                 assert!(replay.jobs.contains_key(id), "archived job survives compaction");
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_claim_groups_compatible_jobs() {
-        let dir =
-            std::env::temp_dir().join(format!("bioarch-campaign-batch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut config = CampaignConfig::new(&dir);
-        config.lanes = 3;
-        let campaign = Campaign::open(config).unwrap();
-        // Interleave two compatibility classes: seeds of the base spec
-        // and one job on different hardware in the middle.
-        for seed in 0..2u64 {
-            campaign.submit(JobSpec { seed, ..spec() }).unwrap();
-        }
-        campaign.submit(JobSpec { hw: Hw::Btac, ..spec() }).unwrap();
-        for seed in 2..4u64 {
-            campaign.submit(JobSpec { seed, ..spec() }).unwrap();
-        }
-
-        // First batch: the three compatible seeds, skipping the
-        // incompatible middle job; submission order preserved.
-        let BatchClaim::Jobs(batch) = campaign.claim_batch_for(7, 3) else {
-            panic!("expected jobs");
-        };
-        let seeds: Vec<u64> = batch.iter().map(|j| j.spec.seed).collect();
-        assert_eq!(seeds, vec![0, 1, 2]);
-        assert!(batch.iter().all(|j| lane_compatible(j.spec, spec())));
-
-        // Next batch: affinity keeps the worker on the same class while
-        // one remains, then the other class is picked up.
-        let BatchClaim::Jobs(batch2) = campaign.claim_batch_for(7, 3) else {
-            panic!("expected jobs");
-        };
-        assert_eq!(batch2.len(), 1);
-        assert_eq!(batch2[0].spec.seed, 3);
-        let BatchClaim::Jobs(batch3) = campaign.claim_batch_for(7, 3) else {
-            panic!("expected jobs");
-        };
-        assert_eq!(batch3.len(), 1);
-        assert_eq!(batch3[0].spec.hw, Hw::Btac);
-        // Everything is leased now.
-        assert!(matches!(campaign.claim_batch_for(7, 3), BatchClaim::Busy));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn single_claims_follow_affinity_when_lanes_enabled() {
-        let dir =
-            std::env::temp_dir().join(format!("bioarch-campaign-affinity-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut config = CampaignConfig::new(&dir);
-        config.lanes = 2;
-        let campaign = Campaign::open(config).unwrap();
-        campaign.submit(JobSpec { seed: 0, ..spec() }).unwrap();
-        campaign.submit(JobSpec { hw: Hw::Btac, ..spec() }).unwrap();
-        campaign.submit(JobSpec { seed: 1, ..spec() }).unwrap();
-
-        // A remote-style worker claiming one job at a time streams the
-        // compatible pair back to back, deferring the odd one out.
-        let Claim::Job(first) = campaign.claim_for(1) else { panic!("expected job") };
-        assert_eq!(first.spec.seed, 0);
-        assert_eq!(first.spec.hw, spec().hw);
-        let Claim::Job(second) = campaign.claim_for(1) else { panic!("expected job") };
-        assert_eq!(second.spec.seed, 1, "affinity should skip the incompatible job");
-        let Claim::Job(third) = campaign.claim_for(1) else { panic!("expected job") };
-        assert_eq!(third.spec.hw, Hw::Btac);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,16 +40,6 @@ fn job_seed(study_seed: u64, app: App, variant: Variant, hw: Hw) -> u64 {
     h
 }
 
-/// Human-readable job label for telemetry events and per-job spans.
-/// Matches the `job_seed` identity (plus the sampling interval for
-/// Figure-2 style runs, which are cached — and supervised — separately).
-fn job_label(app: App, variant: Variant, hw: Hw, interval: Option<u64>) -> String {
-    match interval {
-        Some(i) => format!("{app:?}/{variant:?}/{hw:?}@{i}"),
-        None => format!("{app:?}/{variant:?}/{hw:?}"),
-    }
-}
-
 /// Seeded deterministic backoff: the resource that ran out is the budget,
 /// not wall-clock time, so "backing off" means widening each budget by
 /// 50% plus a seeded jitter of up to 25% before the next attempt.
@@ -202,13 +192,58 @@ impl Hw {
     }
 }
 
-/// One unit of simulation work the parallel runner can fan out: a plain
-/// cached run, or the Figure-2 interval-sampling run (cached separately
+/// One unit of simulation work, and the key of [`Study`]'s run cache: a
+/// plain run, or the Figure-2 interval-sampling run (a separate entry
 /// because its counters carry the interval series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Job {
     Plain(App, Variant, Hw),
     Interval(App, Variant, Hw, u64),
+}
+
+impl Job {
+    /// Human-readable job label for telemetry events and per-job spans.
+    /// Matches the `job_seed` identity (plus the sampling interval for
+    /// Figure-2 style runs, which are cached — and supervised — separately).
+    fn label(self) -> String {
+        match self {
+            Job::Plain(app, variant, hw) => format!("{app:?}/{variant:?}/{hw:?}"),
+            Job::Interval(app, variant, hw, i) => format!("{app:?}/{variant:?}/{hw:?}@{i}"),
+        }
+    }
+
+    /// Run the job under the study's supervisor settings and require its
+    /// outputs to validate (an experiment must never report numbers from
+    /// an incorrect simulation). The serial runners and the parallel
+    /// prefetch workers both simulate through here.
+    fn run(self, study: &Study) -> Result<AppRun, RunError> {
+        let (app, variant, hw, interval) = match self {
+            Job::Plain(app, variant, hw) => (app, variant, hw, None),
+            Job::Interval(app, variant, hw, i) => (app, variant, hw, Some(i)),
+        };
+        let run = supervised_run(
+            study.workload(app),
+            variant,
+            &hw.config(),
+            interval,
+            study.watchdog,
+            study.lockstep,
+            job_seed(study.seed, app, variant, hw),
+            study.telemetry.as_ref(),
+            &self.label(),
+        )?;
+        if !run.validated {
+            let what = match interval {
+                None => format!(
+                    "{app} {variant} on {hw:?} produced wrong results: {:?}",
+                    run.mismatches
+                ),
+                Some(_) => format!("Fig.2 Clustalw run mismatched: {:?}", run.mismatches),
+            };
+            return Err(RunError::Validation { what });
+        }
+        Ok(run)
+    }
 }
 
 /// A study: workload set plus a cache of completed runs.
@@ -216,12 +251,10 @@ pub struct Study {
     scale: Scale,
     seed: u64,
     workloads: Vec<Workload>,
-    cache: HashMap<(App, Variant, Hw), AppRun>,
-    interval_cache: HashMap<(App, Variant, Hw, u64), AppRun>,
+    cache: HashMap<Job, AppRun>,
     watchdog: Option<Watchdog>,
     lockstep: LockstepMode,
     threads_override: Option<usize>,
-    lanes_override: Option<usize>,
     telemetry: Option<TelemetryHub>,
 }
 
@@ -234,11 +267,9 @@ impl Study {
             seed,
             workloads,
             cache: HashMap::new(),
-            interval_cache: HashMap::new(),
             watchdog: None,
             lockstep: LockstepMode::Off,
             threads_override: None,
-            lanes_override: None,
             telemetry: None,
         }
     }
@@ -281,30 +312,6 @@ impl Study {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 
-    /// Pin the lane-batch width for the parallel prefetcher, overriding
-    /// the `BIOARCH_LANES` environment variable. Above 1, each worker
-    /// thread claims a contiguous chunk of up to this many *compatible*
-    /// jobs (grouped by application, so consecutive claims share one
-    /// code image and workload) per dispatch instead of one job at a
-    /// time. Results are merged in fixed job order either way, so
-    /// reports are byte-identical for every width.
-    pub fn set_lanes(&mut self, lanes: usize) {
-        self.lanes_override = Some(lanes.max(1));
-    }
-
-    /// Lane-batch width the parallel prefetcher claims per dispatch:
-    /// the [`Study::set_lanes`] override, else `BIOARCH_LANES`, else 1
-    /// (per-job claiming, the historical behavior).
-    pub fn lanes(&self) -> usize {
-        if let Some(n) = self.lanes_override {
-            return n;
-        }
-        std::env::var("BIOARCH_LANES")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.max(1))
-    }
-
     /// Install cycle/instruction budgets for every run in the study.
     ///
     /// A kernel that exceeds a budget returns [`RunError::Timeout`] with
@@ -337,11 +344,7 @@ impl Study {
     /// Total target instructions retired across every cached run so far —
     /// divide by wall-clock for an honest host-MIPS figure.
     pub fn simulated_instructions(&self) -> u64 {
-        self.cache
-            .values()
-            .chain(self.interval_cache.values())
-            .map(|r| r.counters.instructions)
-            .sum()
+        self.cache.values().map(|r| r.counters.instructions).sum()
     }
 
     fn workload(&self, app: App) -> &Workload {
@@ -356,92 +359,43 @@ impl Study {
     /// not validate against the golden models (an experiment must never
     /// report numbers from an incorrect simulation).
     pub fn run(&mut self, app: App, variant: Variant, hw: Hw) -> Result<AppRun, RunError> {
-        if let Some(r) = self.cache.get(&(app, variant, hw)) {
+        self.run_job(Job::Plain(app, variant, hw))
+    }
+
+    /// Run (or fetch from the cache) one job.
+    fn run_job(&mut self, job: Job) -> Result<AppRun, RunError> {
+        if let Some(r) = self.cache.get(&job) {
             return Ok(r.clone());
         }
-        let label = job_label(app, variant, hw, None);
-        let run = supervised_run(
-            self.workload(app),
-            variant,
-            &hw.config(),
-            None,
-            self.watchdog,
-            self.lockstep,
-            job_seed(self.seed, app, variant, hw),
-            self.telemetry.as_ref(),
-            &label,
-        )?;
-        if !run.validated {
-            return Err(RunError::Validation {
-                what: format!(
-                    "{app} {variant} on {hw:?} produced wrong results: {:?}",
-                    run.mismatches
-                ),
-            });
-        }
-        let merge_started = Instant::now();
-        self.cache.insert((app, variant, hw), run.clone());
-        if let Some(hub) = &self.telemetry {
-            hub.phase_merge(&label, merge_started.elapsed().as_nanos() as u64);
-        }
+        let run = job.run(self)?;
+        self.merge(job, run.clone());
         Ok(run)
     }
 
-    /// Run (or fetch from the interval cache) the Figure-2 style run of
-    /// one combination with interval sampling enabled.
-    fn run_interval(
-        &mut self,
-        app: App,
-        variant: Variant,
-        hw: Hw,
-        interval: u64,
-    ) -> Result<AppRun, RunError> {
-        if let Some(r) = self.interval_cache.get(&(app, variant, hw, interval)) {
-            return Ok(r.clone());
-        }
-        let label = job_label(app, variant, hw, Some(interval));
-        let run = supervised_run(
-            self.workload(app),
-            variant,
-            &hw.config(),
-            Some(interval),
-            self.watchdog,
-            self.lockstep,
-            job_seed(self.seed, app, variant, hw),
-            self.telemetry.as_ref(),
-            &label,
-        )?;
-        if !run.validated {
-            return Err(RunError::Validation {
-                what: format!("Fig.2 Clustalw run mismatched: {:?}", run.mismatches),
-            });
-        }
+    /// Cache a validated run, charging the insert to the job's merge phase.
+    fn merge(&mut self, job: Job, run: AppRun) {
         let merge_started = Instant::now();
-        self.interval_cache.insert((app, variant, hw, interval), run.clone());
+        self.cache.insert(job, run);
         if let Some(hub) = &self.telemetry {
-            hub.phase_merge(&label, merge_started.elapsed().as_nanos() as u64);
+            hub.phase_merge(&job.label(), merge_started.elapsed().as_nanos() as u64);
         }
-        Ok(run)
     }
 
     /// Simulate the not-yet-cached jobs of `jobs` across the study's
-    /// worker threads and merge the results into the run caches.
+    /// worker threads, one job per claim, and merge the results into the
+    /// run cache.
     ///
     /// Determinism: every job is an independent, deterministic
     /// simulation, and the merge order is the (fixed) job order, so the
-    /// caches end up exactly as serial execution would leave them —
-    /// reports built from them are byte-identical regardless of thread
+    /// cache ends up exactly as serial execution would leave it —
+    /// reports built from it are byte-identical regardless of thread
     /// count. Only validated successes are cached; a failing job is left
     /// uncached so the experiment that needs it reproduces the identical
     /// error (message and all) on its own serial path.
     fn prefetch(&mut self, jobs: &[Job]) {
         let mut todo: Vec<Job> = Vec::new();
         for &job in jobs {
-            let missing = match job {
-                Job::Plain(a, v, h) => !self.cache.contains_key(&(a, v, h)),
-                Job::Interval(a, v, h, i) => !self.interval_cache.contains_key(&(a, v, h, i)),
-            };
-            if missing && !todo.contains(&job) {
+            if !self.cache.contains_key(&job) && !todo.contains(&job) {
                 todo.push(job);
             }
         }
@@ -449,72 +403,19 @@ impl Study {
         if threads <= 1 {
             return; // serial path: experiments run on demand, as always
         }
-        let watchdog = self.watchdog;
-        let lockstep = self.lockstep;
-        let seed = self.seed;
-        let telemetry = self.telemetry.as_ref();
-        let workloads = &self.workloads;
-        let worker_of =
-            |app: App| workloads.iter().find(|w| w.app() == app).expect("all apps present");
-        // Lane batching (DESIGN §18): with a lane width above 1, workers
-        // claim contiguous chunks of a claim order grouped by
-        // application, so each dispatch retires a batch of compatible
-        // jobs sharing one code image and workload. Results still land
-        // in per-job slots indexed by the original `todo` order, so the
-        // merge below is untouched and reports stay byte-identical.
-        let lanes = self.lanes().max(1);
-        let mut order: Vec<usize> = (0..todo.len()).collect();
-        if lanes > 1 {
-            order.sort_by_key(|&i| match todo[i] {
-                Job::Plain(a, ..) | Job::Interval(a, ..) => a as u8,
-            });
-        }
-        let order = &order;
+        let study = &*self;
         let next = std::sync::atomic::AtomicUsize::new(0);
         let results: std::sync::Mutex<Vec<Option<AppRun>>> =
             std::sync::Mutex::new(vec![None; todo.len()]);
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| loop {
-                    let base = next.fetch_add(lanes, std::sync::atomic::Ordering::Relaxed);
-                    if base >= order.len() {
-                        break;
-                    }
-                    for &i in &order[base..(base + lanes).min(order.len())] {
-                        let job = todo[i];
-                        // The same supervised path as the serial
-                        // `run`/`run_interval`; errors are dropped here
-                        // (see above).
-                        let run = match job {
-                            Job::Plain(app, v, hw) => supervised_run(
-                                worker_of(app),
-                                v,
-                                &hw.config(),
-                                None,
-                                watchdog,
-                                lockstep,
-                                job_seed(seed, app, v, hw),
-                                telemetry,
-                                &job_label(app, v, hw, None),
-                            ),
-                            Job::Interval(app, v, hw, interval) => supervised_run(
-                                worker_of(app),
-                                v,
-                                &hw.config(),
-                                Some(interval),
-                                watchdog,
-                                lockstep,
-                                job_seed(seed, app, v, hw),
-                                telemetry,
-                                &job_label(app, v, hw, Some(interval)),
-                            ),
-                        };
-                        if let Ok(run) = run {
-                            if run.validated {
-                                if let Ok(mut slots) = results.lock() {
-                                    slots[i] = Some(run);
-                                }
-                            }
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let Some(&job) = todo.get(i) else { break };
+                    // Errors are dropped here (see above).
+                    if let Ok(run) = job.run(study) {
+                        if let Ok(mut slots) = results.lock() {
+                            slots[i] = Some(run);
                         }
                     }
                 });
@@ -526,20 +427,7 @@ impl Study {
         };
         for (job, slot) in todo.into_iter().zip(slots) {
             if let Some(run) = slot {
-                let merge_started = Instant::now();
-                let label = match job {
-                    Job::Plain(a, v, h) => {
-                        self.cache.insert((a, v, h), run);
-                        job_label(a, v, h, None)
-                    }
-                    Job::Interval(a, v, h, i) => {
-                        self.interval_cache.insert((a, v, h, i), run);
-                        job_label(a, v, h, Some(i))
-                    }
-                };
-                if let Some(hub) = &self.telemetry {
-                    hub.phase_merge(&label, merge_started.elapsed().as_nanos() as u64);
-                }
+                self.merge(job, run);
             }
         }
     }
@@ -703,7 +591,8 @@ impl Study {
             Scale::Test => 20_000,
             Scale::ClassC => 100_000,
         };
-        let run = self.run_interval(App::Clustalw, Variant::Baseline, Hw::Stock, interval)?;
+        let run =
+            self.run_job(Job::Interval(App::Clustalw, Variant::Baseline, Hw::Stock, interval))?;
         Ok(Fig2 { interval, samples: run.counters.intervals.clone() })
     }
 

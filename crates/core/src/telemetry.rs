@@ -677,19 +677,7 @@ pub struct ProgressStats {
     /// Largest gap (ms) between consecutive heartbeat-bearing events
     /// (heartbeats, job events, and the terminal event all reset the
     /// gap — the liveness guarantee is "some event at least this often").
-    /// Gaps forgiven by batch-retire tolerance are excluded; see
-    /// [`ProgressStats::batch_gap_ms`].
     pub max_gap_ms: f64,
-    /// `job_retired` events that landed in a batch burst: the event's
-    /// leading quiet gap was exempted from the stall check because
-    /// another `job_retired` followed within the heartbeat interval. A
-    /// lane-batch worker emits nothing while its gang runs, then
-    /// retires the whole batch at once — the burst proves liveness.
-    pub batch_retires: u64,
-    /// Largest quiet gap (ms) forgiven by batch-retire tolerance (the
-    /// batch analogue of [`ProgressStats::max_gap_ms`]; these gaps do
-    /// not count toward stalling).
-    pub batch_gap_ms: f64,
     /// Whether the final line was unparseable — a torn write from a
     /// crashed writer. The torn line is dropped; the stats cover the
     /// complete-line prefix.
@@ -728,7 +716,6 @@ pub fn check_progress_stream(text: &str) -> Result<ProgressStats, String> {
     let mut stats = ProgressStats::default();
     let mut open_jobs: Vec<String> = Vec::new();
     let mut last_elapsed = 0.0f64;
-    let mut timeline: Vec<(bool, f64)> = Vec::new();
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     for (i, line) in lines.iter().enumerate() {
         let doc = match Json::parse(line) {
@@ -761,6 +748,7 @@ pub fn check_progress_stream(text: &str) -> Result<ProgressStats, String> {
                 i + 1
             ));
         }
+        stats.max_gap_ms = stats.max_gap_ms.max(elapsed - last_elapsed);
         last_elapsed = elapsed;
         if i == 0 && event != "suite_started" {
             return Err(format!("stream must open with suite_started, got {event}"));
@@ -769,7 +757,6 @@ pub fn check_progress_stream(text: &str) -> Result<ProgressStats, String> {
             return Err(format!("line {}: event after suite_finished", i + 1));
         }
         stats.events += 1;
-        timeline.push((event == "job_retired", elapsed));
         let job = || {
             doc.get("job")
                 .and_then(Json::as_str)
@@ -835,27 +822,6 @@ pub fn check_progress_stream(text: &str) -> Result<ProgressStats, String> {
     }
     if !open_jobs.is_empty() && !stats.truncated_tail {
         return Err(format!("jobs started but never terminated: {open_jobs:?}"));
-    }
-    // Gap pass with batch-retire tolerance: a worker retiring a whole
-    // lane batch per dispatch is silent while the gang runs, then a
-    // burst of `job_retired` lines lands at once. The quiet gap ends at
-    // a retire immediately followed by another retire within the
-    // heartbeat interval — that burst proves the worker was alive, so
-    // the gap is reported via `batch_gap_ms` instead of counting toward
-    // `max_gap_ms` and the stall verdict.
-    for (i, &(retire, at)) in timeline.iter().enumerate() {
-        let gap = at - if i == 0 { 0.0 } else { timeline[i - 1].1 };
-        let burst = retire
-            && stats.heartbeat_ms > 0.0
-            && timeline.get(i + 1).is_some_and(|&(next_retire, next_at)| {
-                next_retire && next_at - at <= stats.heartbeat_ms
-            });
-        if burst {
-            stats.batch_retires += 1;
-            stats.batch_gap_ms = stats.batch_gap_ms.max(gap);
-        } else {
-            stats.max_gap_ms = stats.max_gap_ms.max(gap);
-        }
     }
     stats.stalled = stats.stalled_with(DEFAULT_STALL_FACTOR);
     Ok(stats)
@@ -1098,10 +1064,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_retire_bursts_do_not_stall() {
-        // A lane-batch worker goes quiet for the whole gang, then
-        // retires both jobs in a burst — the quiet gap is exempt.
-        let batched = concat!(
+    fn retire_bursts_do_not_excuse_quiet_gaps() {
+        // The hub's heartbeat thread ticks whatever the jobs are doing,
+        // so a long silence is a stall even when it ends in a burst of
+        // retires.
+        let burst = concat!(
             r#"{"event":"suite_started","seq":0,"elapsed_ms":0,"heartbeat_ms":10}"#,
             "\n",
             r#"{"event":"job_started","seq":1,"elapsed_ms":1,"job":"a"}"#,
@@ -1114,13 +1081,10 @@ mod tests {
             "\n",
             r#"{"event":"suite_finished","seq":5,"elapsed_ms":2006}"#
         );
-        let stats = check_progress_stream(batched).unwrap();
-        assert!(!stats.stalled, "batch-retire burst must not read as a stall");
-        assert_eq!(stats.batch_retires, 1);
-        assert!(stats.batch_gap_ms >= 1998.0);
-        assert!(stats.max_gap_ms <= 10.0);
-        // A lone retire after the same silence is still a stall: no
-        // burst follows to prove the worker was batching.
+        let stats = check_progress_stream(burst).unwrap();
+        assert!(stats.stalled, "a burst of retires must not hide a 2 s silence");
+        assert!(stats.max_gap_ms >= 1998.0);
+        // A lone retire after the same silence is a stall too.
         let lone = concat!(
             r#"{"event":"suite_started","seq":0,"elapsed_ms":0,"heartbeat_ms":10}"#,
             "\n",
@@ -1132,7 +1096,6 @@ mod tests {
         );
         let stats = check_progress_stream(lone).unwrap();
         assert!(stats.stalled);
-        assert_eq!(stats.batch_retires, 0);
     }
 
     #[test]

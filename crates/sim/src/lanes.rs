@@ -41,14 +41,9 @@
 //! per-lane scalar completion) behind one call and falls back to plain
 //! scalar runs when the machines cannot gang (different images, or
 //! per-instruction harness state like a lockstep oracle attached).
-//!
-//! For the timed fault-injection campaign, which cannot gang (every
-//! fault perturbs one run), [`Trunk`] removes the other big batch
-//! redundancy instead: the shared clean prefix is executed once and
-//! forked per fault via checkpoint/restore.
 
 use crate::fuse::{touches_code, FusedCache, FusedOp};
-use crate::machine::{Checkpoint, Machine, RunResult, Trap};
+use crate::machine::{Machine, RunResult, Trap};
 use ppc_isa::exec::eval_cond;
 use ppc_isa::exec::step;
 use ppc_isa::insn::Instruction;
@@ -667,71 +662,12 @@ pub fn run_batch_functional(machines: Vec<Machine>, max_insns: u64) -> (Vec<Batc
     }
 }
 
-/// Shared-prefix trunk for timed fault campaigns.
-///
-/// A fault campaign replays one clean run per fault point: the prefix
-/// before the injection is identical across all N points, yet the
-/// scalar campaign re-executes it from the pristine image every time.
-/// A `Trunk` advances ONE machine monotonically along the clean
-/// trajectory (chunked [`Machine::run_timed`] calls are proven
-/// bit-exact to a single call) and forks a checkpoint per fault, so
-/// the shared prefix is paid once per campaign instead of once per
-/// fault.
-#[derive(Debug)]
-pub struct Trunk<'m> {
-    m: &'m mut Machine,
-    pos: u64,
-}
-
-impl<'m> Trunk<'m> {
-    /// Wrap `m`, treating its current state as trunk position 0.
-    pub fn new(m: &'m mut Machine) -> Trunk<'m> {
-        Trunk { m, pos: 0 }
-    }
-
-    /// The trunk's current position: instructions requested so far.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Advance the clean run to `at` instructions past the trunk
-    /// origin (no-op when already there or past).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying [`Machine::run_timed`] trap.
-    pub fn advance_to(&mut self, at: u64) -> Result<RunResult, Trap> {
-        let delta = at.saturating_sub(self.pos);
-        self.pos = self.pos.max(at);
-        self.m.run_timed(delta)
-    }
-
-    /// Fork the current trunk state for one fault's private run.
-    pub fn fork(&self) -> Checkpoint {
-        self.m.checkpoint()
-    }
-
-    /// The underlying machine (to apply a fault / run the faulty leg).
-    pub fn machine(&mut self) -> &mut Machine {
-        self.m
-    }
-
-    /// Return to a forked trunk state after a faulty leg.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Machine::restore`]'s validation error.
-    pub fn rejoin(&mut self, ck: &Checkpoint) -> Result<(), String> {
-        self.m.restore(ck)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::config::CoreConfig;
-    use crate::machine::{StopReason, Watchdog};
+    use crate::machine::Watchdog;
     use ppc_isa::Gpr;
 
     fn machine(src: &str) -> Machine {
@@ -885,28 +821,5 @@ loop:
         let err = LaneGang::new(vec![a, b]).unwrap_err();
         assert!(err.1.contains("code image differs"), "{}", err.1);
         assert_eq!(err.0.len(), 2);
-    }
-
-    #[test]
-    fn trunk_fork_rejoin_matches_fresh_runs() {
-        // Advancing the trunk in steps and forking must equal fresh
-        // scalar runs of the same lengths, and rejoin must restore the
-        // fork point bit-exactly.
-        let mut m = machine(COUNT_LOOP);
-        let mut trunk = Trunk::new(&mut m);
-        trunk.advance_to(100).unwrap();
-        let ck = trunk.fork();
-        // Faulty leg: clobber a register, run to completion.
-        trunk.machine().cpu_mut().gpr[3] = 0xDEAD;
-        trunk.machine().run_timed(u64::MAX).unwrap();
-        trunk.rejoin(&ck).unwrap();
-        trunk.advance_to(250).unwrap();
-
-        let mut fresh = machine(COUNT_LOOP);
-        fresh.run_timed(250).unwrap();
-        assert_eq!(trunk.machine().checkpoint(), fresh.checkpoint());
-        let done = trunk.machine().run_timed(u64::MAX).unwrap();
-        assert_eq!(done.stop, StopReason::Halted);
-        assert_eq!(m.cpu().reg(Gpr(3)), 1000);
     }
 }

@@ -76,16 +76,18 @@ pub mod oracle;
 pub mod predictor;
 pub mod telemetry;
 pub mod trace;
+mod trunk;
 
 pub use config::CoreConfig;
 pub use core::StaticTiming;
 pub use counters::{ClassCounts, Counters, StallBreakdown, StallClass};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectionWindow, XorShift64};
 pub use fuse::FusionStats;
-pub use lanes::{run_batch_functional, BatchRun, LaneExit, LaneGang, LaneRun, LaneStats, Trunk};
+pub use lanes::{run_batch_functional, BatchRun, LaneExit, LaneGang, LaneRun, LaneStats};
 pub use machine::{
     Checkpoint, Machine, RunResult, StopReason, Trap, TrapCause, Watchdog, WatchdogKind,
 };
 pub use oracle::{shrink_divergence, ArchField, Divergence, LockstepMode, Oracle, ShrunkRepro};
 pub use telemetry::{GuestProfiler, Histogram, HotRegion, MetricsRegistry, ProfilerReport};
 pub use trace::{SymbolMap, Tracer};
+pub use trunk::Trunk;

@@ -311,20 +311,8 @@ impl DirectionPredictor for StaticTaken {
     fn update(&mut self, _pc: u32, _taken: bool) {}
 }
 
-/// Instantiate the predictor described by `kind`.
-pub fn build(kind: PredictorKind) -> Box<dyn DirectionPredictor> {
-    match kind {
-        PredictorKind::StaticTaken => Box::new(StaticTaken),
-        PredictorKind::Bimodal { bits } => Box::new(Bimodal::new(bits)),
-        PredictorKind::Gshare { bits, history_bits } => Box::new(Gshare::new(bits, history_bits)),
-        PredictorKind::Tournament { bimodal_bits, gshare_bits, history_bits, selector_bits } => {
-            Box::new(Tournament::new(bimodal_bits, gshare_bits, history_bits, selector_bits))
-        }
-    }
-}
-
-/// Enum-dispatched predictor: behaviorally identical to the boxed trait
-/// objects from [`build`], but statically dispatched so the timing core's
+/// Enum-dispatched predictor: one [`DirectionPredictor`] over every
+/// [`PredictorKind`], statically dispatched so the timing core's
 /// branch-resolution path can inline the counter-table operations instead
 /// of paying two indirect calls per conditional branch.
 #[derive(Debug, Clone)]
@@ -564,8 +552,8 @@ mod tests {
                 selector_bits: 12,
             },
         ] {
-            let mut p = build(kind);
-            let acc = accuracy(p.as_mut(), &stream);
+            let mut p = AnyPredictor::build(kind);
+            let acc = accuracy(&mut p, &stream);
             assert!((0.40..0.62).contains(&acc), "{kind:?} accuracy {acc} on random stream");
         }
     }
@@ -593,13 +581,13 @@ mod tests {
         ];
         let mut x = 7u64;
         for kind in kinds {
-            let mut trained = build(kind);
+            let mut trained = AnyPredictor::build(kind);
             for _ in 0..500 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let pc = 0x100 + 4 * ((x >> 20) as u32 % 32);
                 trained.update(pc, (x >> 40) & 1 == 1);
             }
-            let mut copy = build(kind);
+            let mut copy = AnyPredictor::build(kind);
             copy.restore(&trained.snapshot()).unwrap();
             for pc in (0x100..0x180).step_by(4) {
                 assert_eq!(copy.predict(pc), trained.predict(pc), "{kind:?} diverged at {pc:#x}");
@@ -609,15 +597,15 @@ mod tests {
 
     #[test]
     fn restore_rejects_foreign_snapshots() {
-        let trained = build(PredictorKind::Tournament {
+        let trained = AnyPredictor::build(PredictorKind::Tournament {
             bimodal_bits: 6,
             gshare_bits: 6,
             history_bits: 5,
             selector_bits: 6,
         });
-        let mut b = build(PredictorKind::Bimodal { bits: 6 });
+        let mut b = AnyPredictor::build(PredictorKind::Bimodal { bits: 6 });
         assert!(b.restore(&trained.snapshot()).is_err());
-        let mut small = build(PredictorKind::Bimodal { bits: 4 });
+        let mut small = AnyPredictor::build(PredictorKind::Bimodal { bits: 4 });
         assert!(small.restore(&b.snapshot()).is_err());
         let mut bad = b.snapshot();
         bad.tables[0][0] = 9; // counter out of range
@@ -626,7 +614,7 @@ mod tests {
 
     #[test]
     fn corruption_keeps_counters_architectural() {
-        let mut p = build(PredictorKind::Tournament {
+        let mut p = AnyPredictor::build(PredictorKind::Tournament {
             bimodal_bits: 5,
             gshare_bits: 5,
             history_bits: 4,

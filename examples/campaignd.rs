@@ -29,14 +29,6 @@
 //! # requires pure cache hits (zero execute-phase nanoseconds).
 //! cargo run --release --example campaignd -- --smoke <dir> [--seed <n>]
 //!
-//! # Lane smoke: the batch-backend contract gate. Phase 1 runs a
-//! # five-job campaign (two seed-sibling pairs plus one odd job) one
-//! # job per claim; phase 2 re-runs it in a fresh directory with
-//! # `lanes = 2`, workers claiming whole compatible batches per
-//! # dispatch — and requires the merged report byte-identical and the
-//! # batch-claim path demonstrably exercised.
-//! cargo run --release --example campaignd -- --smoke-lanes <dir> [--seed <n>]
-//!
 //! # Remote smoke: the distributed contract gate. Phase 1 runs the
 //! # reference campaign in-process; phase 2 re-runs it with two worker
 //! # *processes* behind a seeded chaos proxy (frame drop / dup / delay /
@@ -48,7 +40,8 @@
 //! ```
 //!
 //! Exit codes follow the `compare_runs` taxonomy: 0 ok, 1 usage,
-//! 2 degraded results, 3 contract violation.
+//! 2 degraded results, 3 contract violation. An unknown flag or a
+//! stray positional argument is a usage error.
 
 use bioarch::campaign::remote::{
     self, ChaosConfig, ChaosProxy, Frame, FramedStream, Role, ServeOptions, WorkerOptions,
@@ -98,7 +91,6 @@ fn serve(
     seed: u64,
     workers: usize,
     chunk: u64,
-    lanes: usize,
     jobs: &[String],
     listen: Option<&str>,
     deadline_secs: Option<u64>,
@@ -106,7 +98,6 @@ fn serve(
     let mut config = CampaignConfig::new(dir);
     config.workers = workers;
     config.chunk = chunk;
-    config.lanes = lanes;
     let mut campaign = Campaign::open(config).unwrap_or_else(|e| die(&e));
     campaign.set_telemetry(TelemetryHub::new(TelemetryConfig::default()));
     let specs: Vec<JobSpec> = if jobs.is_empty() {
@@ -325,78 +316,6 @@ fn smoke(dir: &str, seed: u64) -> ExitCode {
         return ExitCode::from(2);
     }
     println!("smoke: OK");
-    ExitCode::SUCCESS
-}
-
-/// The lane-smoke job set: two seed-sibling pairs (batchable — same
-/// app/variant/hw/scale, differing seed) plus one odd job on different
-/// hardware that can never share a batch with the others.
-fn lanes_specs(seed: u64) -> Vec<JobSpec> {
-    let spec = |app, variant, hw, s| JobSpec { app, variant, hw, scale: Scale::Test, seed: s };
-    vec![
-        spec(App::Fasta, Variant::Baseline, Hw::Stock, seed),
-        spec(App::Fasta, Variant::Baseline, Hw::Stock, seed.wrapping_add(1)),
-        spec(App::Clustalw, Variant::Baseline, Hw::Stock, seed),
-        spec(App::Clustalw, Variant::Baseline, Hw::Stock, seed.wrapping_add(1)),
-        spec(App::Hmmer, Variant::HandMax, Hw::Btac, seed),
-    ]
-}
-
-/// Run the lane-batch contract smoke. See the module docs.
-fn smoke_lanes(dir: &str, seed: u64) -> ExitCode {
-    let dir = std::path::Path::new(dir);
-    let _ = std::fs::remove_dir_all(dir);
-    let fail = |msg: &str| -> ExitCode {
-        eprintln!("campaignd: smoke-lanes FAILED: {msg}");
-        ExitCode::from(3)
-    };
-
-    // Phase 1: reference run, one job per claim (lanes = 1).
-    let campaign =
-        Campaign::open(smoke_config(dir.join("uninterrupted"))).unwrap_or_else(|e| die(&e));
-    for spec in lanes_specs(seed) {
-        campaign.submit(spec).unwrap_or_else(|e| die(&e));
-    }
-    campaign.run();
-    let reference = campaign.merged_report().unwrap_or_else(|e| die(&e)).render_json();
-    drop(campaign);
-    bioarch::report::write_atomic(dir.join("report_uninterrupted.json"), &reference)
-        .unwrap_or_else(|e| die(&e.to_string()));
-    println!("smoke-lanes: single-claim reference run complete");
-
-    // Phase 2: fresh directory, same submission, lane backend on —
-    // workers claim whole compatible batches per dispatch.
-    let mut config = smoke_config(dir.join("lanes"));
-    config.lanes = 2;
-    let mut campaign = Campaign::open(config).unwrap_or_else(|e| die(&e));
-    campaign.set_telemetry(TelemetryHub::new(TelemetryConfig::default()));
-    for spec in lanes_specs(seed) {
-        campaign.submit(spec).unwrap_or_else(|e| die(&e));
-    }
-    campaign.run();
-    let laned = campaign.merged_report().unwrap_or_else(|e| die(&e)).render_json();
-    let snapshot = campaign.take_telemetry().expect("hub attached").finish();
-    bioarch::report::write_atomic(dir.join("report_lanes.json"), &laned)
-        .unwrap_or_else(|e| die(&e.to_string()));
-    let batch_claims = snapshot.host.counter("campaign.batch_claims");
-    let batch_jobs = snapshot.host.counter("campaign.batch_jobs");
-    if laned != reference {
-        return fail("lane-batched report differs from the single-claim run");
-    }
-    if batch_claims == 0 {
-        return fail("lane backend never claimed a batch");
-    }
-    if batch_jobs <= batch_claims {
-        // Every batch held exactly one job: the compatible seed-sibling
-        // pairs were never actually ganged.
-        return fail(&format!(
-            "batching never grouped jobs ({batch_jobs} job(s) over {batch_claims} batch claim(s))"
-        ));
-    }
-    println!(
-        "smoke-lanes: report byte-identical with {batch_jobs} job(s) retired over \
-         {batch_claims} batch claim(s), OK"
-    );
     ExitCode::SUCCESS
 }
 
@@ -645,8 +564,6 @@ fn main() -> ExitCode {
         .map_or(2, |v| v.parse().unwrap_or_else(|_| die(&format!("bad worker count {v:?}"))));
     let chunk = take_value("--chunk")
         .map_or(20_000, |v| v.parse().unwrap_or_else(|_| die(&format!("bad chunk {v:?}"))));
-    let lanes = take_value("--lanes")
-        .map_or(1, |v| v.parse().unwrap_or_else(|_| die(&format!("bad lane count {v:?}"))));
     let scale = match take_value("--scale").as_deref() {
         None | Some("test") => Scale::Test,
         Some("classc") => Scale::ClassC,
@@ -654,9 +571,7 @@ fn main() -> ExitCode {
     };
     let worker_id = take_value("--worker-id")
         .map_or(1, |v| v.parse().unwrap_or_else(|_| die(&format!("bad worker id {v:?}"))));
-    if let Some(addr) = take_value("--worker") {
-        return worker(&addr, worker_id, seed);
-    }
+    let worker_addr = take_value("--worker");
     let listen = take_value("--listen");
     let deadline_secs = take_value("--deadline-secs")
         .map(|v| v.parse().unwrap_or_else(|_| die(&format!("bad deadline {v:?}"))));
@@ -664,31 +579,34 @@ fn main() -> ExitCode {
     args.retain(|a| a != "--smoke");
     let smoking_remote = args.iter().any(|a| a == "--smoke-remote");
     args.retain(|a| a != "--smoke-remote");
-    let smoking_lanes = args.iter().any(|a| a == "--smoke-lanes");
-    args.retain(|a| a != "--smoke-lanes");
     let mut jobs: Vec<String> = Vec::new();
     if let Some(i) = args.iter().position(|a| a == "--jobs") {
         jobs = args.split_off(i + 1);
         args.remove(i);
     }
-    let Some(dir) = args.first() else {
+    // What is left must be exactly the campaign directory (nothing in
+    // worker mode): an unknown or removed flag would otherwise be taken
+    // for the directory or silently ignored.
+    let positionals = usize::from(worker_addr.is_none());
+    if args.len() != positionals || args.iter().any(|a| a.starts_with("--")) {
         die(concat!(
             "usage: campaignd <dir> [--scale test|classc] [--seed <n>] [--workers <n>] ",
-            "[--chunk <insns>] [--lanes <n>] [--listen <host:port>] [--deadline-secs <n>] ",
+            "[--chunk <insns>] [--listen <host:port>] [--deadline-secs <n>] ",
             "[--jobs app/variant/hw/s<seed> ...]\n",
             "       campaignd --worker <host:port> [--worker-id <n>] [--seed <n>]\n",
             "       campaignd --smoke <dir> [--seed <n>]\n",
-            "       campaignd --smoke-lanes <dir> [--seed <n>]\n",
             "       campaignd --smoke-remote <dir> [--seed <n>]"
         ));
-    };
+    }
+    if let Some(addr) = worker_addr {
+        return worker(&addr, worker_id, seed);
+    }
+    let dir = &args[0];
     if smoking {
         smoke(dir, seed)
     } else if smoking_remote {
         smoke_remote(dir, seed)
-    } else if smoking_lanes {
-        smoke_lanes(dir, seed)
     } else {
-        serve(dir, scale, seed, workers, chunk, lanes, &jobs, listen.as_deref(), deadline_secs)
+        serve(dir, scale, seed, workers, chunk, &jobs, listen.as_deref(), deadline_secs)
     }
 }

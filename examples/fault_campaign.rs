@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! cargo run --release --example fault_campaign -- [--faults N] [--seed S] \
-//!     [--lockstep MODE] [--lanes N [--verify]]
+//!     [--lockstep MODE] [--trunk [--verify]]
 //! ```
 //!
 //! Defaults: 1000 faults total (split across the four apps), seed 7,
@@ -28,18 +28,18 @@
 //! consistently, so the oracle must stay silent; any divergence is a
 //! harness bug and fails the campaign (exit 2).
 //!
-//! `--lanes N` switches to the lane backend (DESIGN §18): instead of
+//! `--trunk` switches to the trunk backend (DESIGN §18): instead of
 //! re-running the shared clean prefix from the pristine checkpoint for
 //! every fault, a [`Trunk`] advances ONE machine monotonically along
-//! the clean trajectory (faults sorted by injection point, dispatched
-//! in batches of N) and forks a checkpoint per fault — each faulty leg
-//! is a lane diverging from the trunk, finished on the ordinary scalar
-//! path. Per-fault outcomes and the final table are byte-identical to
-//! the scalar campaign; `--verify` proves it by running both backends
-//! and comparing outcome-by-outcome and table-byte-for-byte, printing
-//! the wall-clock speedup. With `--lockstep`, the oracle attaches to
-//! every forked (diverged) leg at its fork point — the clean trunk
-//! stays unchecked, which is where the speedup comes from.
+//! the clean trajectory (faults sorted by injection point) and forks a
+//! checkpoint per fault — each faulty leg diverges from the trunk and
+//! runs on the ordinary scalar path. Per-fault outcomes and the final
+//! table are byte-identical to the scalar campaign; `--verify` proves
+//! it by running both backends and comparing outcome-by-outcome and
+//! table-byte-for-byte, printing the wall-clock speedup. With
+//! `--lockstep`, the oracle attaches to every forked leg at its fork
+//! point — the clean trunk stays unchecked, which is where the speedup
+//! comes from.
 //!
 //! Exits with status 1 when any fault is uncontained, so CI can gate on
 //! the containment contract.
@@ -110,7 +110,7 @@ fn die(msg: &str) -> ! {
 }
 
 /// Classify one corrupted machine by running it to completion (or
-/// cut-off) — the shared phase-2 of both the scalar and lane backends,
+/// cut-off) — the shared phase-2 of both the scalar and trunk backends,
 /// so their outcomes cannot drift apart.
 fn classify(
     m: &mut Machine,
@@ -286,18 +286,16 @@ fn campaign(
     Ok(AppCampaign { tally, outcomes })
 }
 
-/// Lane backend: one trunk machine advances the shared clean prefix
-/// monotonically (faults sorted by injection point, dispatched in
-/// batches of `lanes`); each fault forks a checkpoint, runs its faulty
-/// leg as a diverged lane on the scalar path, and rejoins. Outcomes
-/// land back in plan order, so the tally and `--verify` comparison are
-/// order-independent of the trunk schedule.
-fn campaign_lanes(
+/// Trunk backend: one trunk machine advances the shared clean prefix
+/// monotonically (faults sorted by injection point); each fault forks
+/// a checkpoint, runs its faulty leg on the scalar path, and rejoins.
+/// Outcomes land back in plan order, so the tally and `--verify`
+/// comparison are order-independent of the trunk schedule.
+fn campaign_trunk(
     app: App,
     seed: u64,
     faults: usize,
     lockstep: LockstepMode,
-    lanes: usize,
 ) -> Result<AppCampaign, String> {
     let mut p = prepare_campaign(app, seed, faults)?;
     let mut outcomes = vec![Outcome::Uncontained; p.plan.faults.len()];
@@ -307,28 +305,26 @@ fn campaign_lanes(
     p.machine.restore(&p.pristine).map_err(|e| format!("{app}: restore failed: {e}"))?;
     p.machine.set_watchdog(p.watchdog);
     let mut trunk = Trunk::new(&mut p.machine);
-    for batch in order.chunks(lanes.max(1)) {
-        for &idx in batch {
-            let fault = &p.plan.faults[idx];
-            let to_fault = trunk
-                .advance_to(fault.at_instruction)
-                .map_err(|t| format!("{app}: clean prefix trapped: {t}"))?;
-            if let StopReason::Watchdog(_) = to_fault.stop {
-                return Err(format!("{app}: clean prefix hit the watchdog"));
-            }
-            let ck = trunk.fork();
-            let m = trunk.machine();
-            // Fresh checker per forked leg: with `--lockstep` the oracle
-            // covers every diverged lane from its fork point on, while
-            // the shared trunk stays unchecked.
-            m.set_lockstep(lockstep);
-            fault.apply(m);
-            let outcome = classify(m, fault, p.out_addr, p.out_len, &p.golden)
-                .map_err(|e| format!("{app}: {e}"))?;
-            outcomes[idx] = outcome;
-            trunk.rejoin(&ck).map_err(|e| format!("{app}: rejoin failed: {e}"))?;
-            trunk.machine().set_lockstep(LockstepMode::Off);
+    for &idx in &order {
+        let fault = &p.plan.faults[idx];
+        let to_fault = trunk
+            .advance_to(fault.at_instruction)
+            .map_err(|t| format!("{app}: clean prefix trapped: {t}"))?;
+        if let StopReason::Watchdog(_) = to_fault.stop {
+            return Err(format!("{app}: clean prefix hit the watchdog"));
         }
+        let ck = trunk.fork();
+        let m = trunk.machine();
+        // Fresh checker per forked leg: with `--lockstep` the oracle
+        // covers every faulty leg from its fork point on, while the
+        // shared trunk stays unchecked.
+        m.set_lockstep(lockstep);
+        fault.apply(m);
+        let outcome = classify(m, fault, p.out_addr, p.out_len, &p.golden)
+            .map_err(|e| format!("{app}: {e}"))?;
+        outcomes[idx] = outcome;
+        trunk.rejoin(&ck).map_err(|e| format!("{app}: rejoin failed: {e}"))?;
+        trunk.machine().set_lockstep(LockstepMode::Off);
     }
     let mut tally = Tally::default();
     for &outcome in &outcomes {
@@ -376,7 +372,7 @@ fn main() -> ExitCode {
     let mut faults_total = 1000usize;
     let mut seed = 7u64;
     let mut lockstep = LockstepMode::Off;
-    let mut lanes = 0usize;
+    let mut trunk = false;
     let mut verify = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -401,26 +397,20 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--lanes" => {
-                let v = args.next().unwrap_or_else(|| die("--lanes needs a value"));
-                lanes = v.parse().unwrap_or_else(|_| die(&format!("bad lane count {v:?}")));
-                if lanes == 0 {
-                    die("--lanes needs a count of at least 1");
-                }
-            }
+            "--trunk" => trunk = true,
             "--verify" => verify = true,
             other => die(&format!(
                 "unknown argument {other:?} (try --faults N / --seed S / --lockstep off|full|N / \
-                 --lanes N / --verify)"
+                 --trunk / --verify)"
             )),
         }
     }
-    if verify && lanes == 0 {
-        die("--verify requires --lanes N (it cross-checks the lane backend against scalar)");
+    if verify && !trunk {
+        die("--verify requires --trunk (it cross-checks the trunk backend against scalar)");
     }
     let apps = App::all();
     let per_app = faults_total.div_ceil(apps.len());
-    let backend = if lanes > 0 { format!("lanes {lanes}") } else { "scalar".to_string() };
+    let backend = if trunk { "trunk" } else { "scalar" };
     println!(
         "fault campaign: {} faults per app x {} apps, seed {seed}, lockstep {lockstep:?}, \
          backend {backend}, kinds: {}",
@@ -434,7 +424,7 @@ fn main() -> ExitCode {
     let mut scalar_rows: Vec<(App, Tally)> = Vec::new();
     let mut scalar_total = Tally::default();
     let mut scalar_wall = 0.0f64;
-    let mut lane_wall = 0.0f64;
+    let mut trunk_wall = 0.0f64;
     for app in apps {
         if verify {
             // Scalar reference leg first: the backend under test must
@@ -449,29 +439,29 @@ fn main() -> ExitCode {
             scalar_rows.push((app, reference.tally));
 
             let t1 = Instant::now();
-            let laned = match campaign_lanes(app, seed, per_app, lockstep, lanes) {
+            let forked = match campaign_trunk(app, seed, per_app, lockstep) {
                 Ok(c) => c,
                 Err(e) => die(&e),
             };
-            lane_wall += t1.elapsed().as_secs_f64();
-            if laned.outcomes != reference.outcomes {
-                let first = laned
+            trunk_wall += t1.elapsed().as_secs_f64();
+            if forked.outcomes != reference.outcomes {
+                let first = forked
                     .outcomes
                     .iter()
                     .zip(&reference.outcomes)
                     .position(|(a, b)| a != b)
                     .unwrap_or(0);
                 die(&format!(
-                    "verify FAILED for {app}: lane backend diverges from scalar at fault {first} \
+                    "verify FAILED for {app}: trunk backend diverges from scalar at fault {first} \
                      ({:?} vs {:?})",
-                    laned.outcomes[first], reference.outcomes[first]
+                    forked.outcomes[first], reference.outcomes[first]
                 ));
             }
-            total.add(&laned.tally);
-            rows.push((app, laned.tally));
+            total.add(&forked.tally);
+            rows.push((app, forked.tally));
         } else {
-            let result = if lanes > 0 {
-                campaign_lanes(app, seed, per_app, lockstep, lanes)
+            let result = if trunk {
+                campaign_trunk(app, seed, per_app, lockstep)
             } else {
                 campaign(app, seed, per_app, lockstep)
             };
@@ -488,12 +478,12 @@ fn main() -> ExitCode {
     if verify {
         let scalar_rendered = render_table(&scalar_rows, &scalar_total);
         if rendered != scalar_rendered {
-            die("verify FAILED: lane-backend table is not byte-identical to scalar");
+            die("verify FAILED: trunk-backend table is not byte-identical to scalar");
         }
         println!(
-            "verify OK: lane backend matches scalar outcome-for-outcome and byte-for-byte \
-             (scalar {scalar_wall:.2}s, lanes {lane_wall:.2}s, speedup {:.2}x)",
-            scalar_wall / lane_wall.max(1e-9)
+            "verify OK: trunk backend matches scalar outcome-for-outcome and byte-for-byte \
+             (scalar {scalar_wall:.2}s, trunk {trunk_wall:.2}s, speedup {:.2}x)",
+            scalar_wall / trunk_wall.max(1e-9)
         );
     }
 

@@ -194,15 +194,6 @@ fn check(path: &str, min_heartbeats: u64, allow_truncated: bool, stall_factor: f
             counter("lanes.exit_refetch").unwrap_or(0.0),
         );
     }
-    if stats.batch_retires > 0 {
-        // Batch-retire bursts are quiet-then-burst progress from a
-        // lane-batch worker; their forgiven gaps are reported here and
-        // excluded from the stall verdict.
-        println!(
-            "diagnostic: {} batch-retire burst(s), largest forgiven gap {:.0} ms",
-            stats.batch_retires, stats.batch_gap_ms
-        );
-    }
     if stats.truncated_tail {
         // A torn final line is the signature of a writer killed
         // mid-write — diagnose it explicitly instead of erroring.

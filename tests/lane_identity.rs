@@ -6,8 +6,7 @@
 //! exit path: branch divergence, halt, memory fault, self-modifying
 //! store, budget cut, and mid-block watchdog cut.
 
-use power5_sim::{run_batch_functional, CoreConfig, LaneStats, Machine, Trunk, Watchdog};
-use ppc_isa::Gpr;
+use power5_sim::{run_batch_functional, CoreConfig, LaneStats, Machine, Watchdog};
 use proptest::prelude::*;
 
 fn machine(src: &str) -> Machine {
@@ -206,34 +205,6 @@ fn per_lane_watchdogs_cut_independently() {
     let stats = identity_check(SEEDED_LOOP, &refs, None, u64::MAX);
     assert!(stats.ganged);
     assert!(stats.exit_cut > 0, "tight watchdogs must cut lanes: {stats:?}");
-}
-
-#[test]
-fn trunk_fork_rejoin_matches_fresh_runs() {
-    // A trunk that advances, forks a faulty leg, and rejoins must leave
-    // the machine bit-exact with a fresh machine driven straight to the
-    // same position — the property the lane fault campaign rests on.
-    let src = SEEDED_LOOP;
-    let seed = |m: &mut Machine| m.cpu_mut().gpr[5] = 5000;
-    let mut m = machine(src);
-    seed(&mut m);
-    let mut trunk = Trunk::new(&mut m);
-    trunk.advance_to(100).expect("clean prefix runs");
-    let ck = trunk.fork();
-    // Faulty leg: corrupt a register, run a while, then abandon it.
-    trunk.machine().cpu_mut().gpr[3] ^= 0xdead_beef;
-    trunk.machine().run_timed(500).expect("faulty leg runs");
-    trunk.rejoin(&ck).expect("rejoin restores the fork point");
-    trunk.advance_to(2500).expect("clean run continues");
-    assert_eq!(trunk.position(), 2500);
-
-    let mut fresh = machine(src);
-    seed(&mut fresh);
-    fresh.run_timed(100).expect("fresh prefix");
-    fresh.run_timed(2400).expect("fresh continuation");
-    assert!(m.checkpoint() == fresh.checkpoint(), "rejoin must be bit-exact");
-    assert_eq!(m.counters(), fresh.counters());
-    assert_eq!(m.cpu().reg(Gpr(3)), fresh.cpu().reg(Gpr(3)));
 }
 
 proptest! {
