@@ -849,26 +849,7 @@ impl Workload {
     /// Returns [`RunError`] on compile, assembly, or simulation failures,
     /// or if the program fails to halt.
     pub fn run(&self, variant: Variant, config: &CoreConfig) -> Result<AppRun, RunError> {
-        self.run_with_interval(variant, config, None, None)
-    }
-
-    /// Like [`Workload::run`], optionally collecting the Figure-2 interval
-    /// time series every `interval` committed instructions, under optional
-    /// [`Watchdog`] budgets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] as for [`Workload::run`], plus
-    /// [`RunError::Timeout`] when a watchdog budget expires.
-    pub fn run_with_interval(
-        &self,
-        variant: Variant,
-        config: &CoreConfig,
-        interval: Option<u64>,
-        watchdog: Option<Watchdog>,
-    ) -> Result<AppRun, RunError> {
-        let opts = RunOpts { interval, watchdog, ..RunOpts::default() };
-        Ok(self.run_configured(variant, config, opts)?.0)
+        Ok(self.run_configured(variant, config, RunOpts::default())?.0)
     }
 
     /// Like [`Workload::run`], additionally collecting per-PC branch
@@ -946,31 +927,15 @@ impl Workload {
 
     /// Resume a run that previously timed out: rebuild the same image,
     /// restore `checkpoint` (taken from [`RunError::Timeout`]), install a
-    /// fresh `watchdog` budget, and run to completion. Collection
-    /// switches mirror [`Workload::run_with_watchdog`] so the final
-    /// report is comparable.
+    /// fresh `watchdog` budget, and run on, with an optional guest
+    /// sampling-profiler period — the resume-side twin of
+    /// [`Workload::run_full_instrumented`]. Collection switches mirror
+    /// [`Workload::run_with_watchdog`] so the final report is comparable.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] as for [`Workload::run_with_watchdog`];
     /// [`RunError::Image`] if the checkpoint does not match the image.
-    pub fn resume_with_watchdog(
-        &self,
-        variant: Variant,
-        config: &CoreConfig,
-        checkpoint: &Checkpoint,
-        watchdog: Watchdog,
-    ) -> Result<AppRun, RunError> {
-        self.resume_instrumented(variant, config, checkpoint, watchdog, None)
-    }
-
-    /// [`Workload::resume_with_watchdog`] with an optional guest
-    /// sampling-profiler period — the resume-side twin of
-    /// [`Workload::run_full_instrumented`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] as for [`Workload::resume_with_watchdog`].
     pub fn resume_instrumented(
         &self,
         variant: Variant,
@@ -989,38 +954,23 @@ impl Workload {
         Ok(run)
     }
 
-    /// The superset run the suite supervisor drives: optional interval
-    /// sampling, optional [`Watchdog`] budgets, and a [`LockstepMode`] in
-    /// one call. Stall-site collection mirrors the single-switch
-    /// entry points (on exactly when a watchdog is installed and no
-    /// interval sampling is requested), so results are byte-identical to
-    /// the corresponding `run_*` method.
+    /// The superset run the suite supervisor and the campaign drive:
+    /// optional interval sampling, optional [`Watchdog`] budgets, a
+    /// [`LockstepMode`] and an optional guest sampling-profiler period
+    /// (retired instructions per sample) in one call. Stall-site
+    /// collection mirrors the single-switch entry points (on exactly when
+    /// a watchdog is installed and no interval sampling is requested), so
+    /// results are byte-identical to the corresponding `run_*` method.
+    /// When `profiler` is set the returned [`AppRun::guest_profile`]
+    /// carries the symbolized hot-region report; simulated timing,
+    /// counters, and validation are byte-identical to the uninstrumented
+    /// run — the profiler only *observes* retirement, it never changes
+    /// dispatch.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] as for [`Workload::run`], plus
     /// [`RunError::Timeout`] / [`RunError::Divergence`] as applicable.
-    pub fn run_full(
-        &self,
-        variant: Variant,
-        config: &CoreConfig,
-        interval: Option<u64>,
-        watchdog: Option<Watchdog>,
-        lockstep: LockstepMode,
-    ) -> Result<AppRun, RunError> {
-        self.run_full_instrumented(variant, config, interval, watchdog, lockstep, None)
-    }
-
-    /// [`Workload::run_full`] with an optional guest sampling-profiler
-    /// period (retired instructions per sample). When `profiler` is set
-    /// the returned [`AppRun::guest_profile`] carries the symbolized
-    /// hot-region report; simulated timing, counters, and validation are
-    /// byte-identical to the uninstrumented run — the profiler only
-    /// *observes* retirement, it never changes dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] as for [`Workload::run_full`].
     pub fn run_full_instrumented(
         &self,
         variant: Variant,

@@ -57,7 +57,7 @@
 
 pub mod remote;
 
-use crate::apps::{App, RunError, Scale, Variant, Workload};
+use crate::apps::{App, AppRun, RunError, Scale, Variant, Workload};
 use crate::checkpoint;
 use crate::experiments::Hw;
 use crate::json::Json;
@@ -515,16 +515,19 @@ pub enum Claim {
     Finished,
 }
 
-/// What [`Campaign`] did with a remotely retired result.
+/// What [`Campaign`] did with a job's terminal outcome (a retired
+/// result or a quarantine), from either kind of shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetireOutcome {
-    /// First completion: cache written, `completed` record appended.
+    /// First terminal outcome: cache written, `completed` or
+    /// `quarantined` record appended.
     Recorded,
     /// The job was already terminal — a re-delivery after a reconnect
     /// or an expired-lease re-run. Served as a cache hit, never
     /// double-counted.
     Duplicate,
-    /// The incarnation crashed or the cache write failed.
+    /// The incarnation crashed, the job is unknown, or the cache write
+    /// failed.
     Failed,
 }
 
@@ -932,7 +935,7 @@ impl Campaign {
     fn worker(&self, w: u64) {
         loop {
             match self.claim_for(w) {
-                Claim::Job(job) => self.execute(w, &job.id, job.spec, job.attempts),
+                Claim::Job(job) => self.execute(w, &job),
                 Claim::Busy => std::thread::sleep(std::time::Duration::from_millis(2)),
                 Claim::Drained | Claim::Finished => return,
             }
@@ -1080,262 +1083,26 @@ impl Campaign {
         std::fs::read_to_string(self.ck_path(id)).ok()
     }
 
-    /// Record a remote worker's chunk-boundary checkpoint: validate and
-    /// persist the rendered checkpoint, then append the `progress`
-    /// record (which doubles as the lease heartbeat).
-    fn remote_progress(&self, id: &str, insns: u64, ck_text: &str) -> bool {
-        if lock(&self.inner).crashed {
-            return false;
-        }
-        if checkpoint::parse(ck_text).is_err() {
-            return false;
-        }
-        self.store_checkpoint(id, ck_text) && self.append_progress(id, insns)
-    }
-
-    /// Record a remote worker's failed attempt: persist (budget retry)
-    /// or remove (scratch retry) the checkpoint, then journal the
-    /// authoritative attempt count. Mirrors [`Campaign::retry`].
-    fn remote_retry(
-        &self,
-        id: &str,
-        label: &str,
-        attempt: u32,
-        class: &str,
-        ck_text: Option<&str>,
-    ) -> bool {
-        if lock(&self.inner).crashed {
-            return false;
-        }
-        match ck_text {
-            Some(text) => {
-                if checkpoint::parse(text).is_err() || !self.store_checkpoint(id, text) {
-                    return false;
-                }
-            }
-            None => {
-                let _ = std::fs::remove_file(self.ck_path(id));
-            }
-        }
-        self.record_retry(id, label, attempt, class)
-    }
-
-    /// Retire a job remotely: write the worker-rendered report into the
-    /// run cache (before the `completed` record, preserving the crash
-    /// ordering invariant) and mark the job completed. A job that is
-    /// already terminal — the worker reconnected and re-delivered, or
-    /// an expired lease was re-run by another shard — is a
-    /// [`RetireOutcome::Duplicate`]: a cache hit, never a double-count.
-    fn remote_retire(&self, id: &str, insns: u64, report_text: &str) -> RetireOutcome {
-        {
-            let st = lock(&self.inner);
-            if st.crashed {
-                return RetireOutcome::Failed;
-            }
-            match st.jobs.get(id).map(|j| &j.status) {
-                Some(JobStatus::Completed | JobStatus::Quarantined { .. }) => {
-                    drop(st);
-                    if let Some(hub) = &self.telemetry {
-                        hub.count_host("campaign.remote.dup_retires", 1);
-                    }
-                    return RetireOutcome::Duplicate;
-                }
-                Some(_) => {}
-                None => return RetireOutcome::Failed,
-            }
-        }
-        let started = Instant::now();
-        if write_atomic(self.cache_path(id), report_text).is_err() {
-            return RetireOutcome::Failed;
-        }
-        if let Some(hub) = &self.telemetry {
-            hub.phase_host("cache", started.elapsed().as_nanos() as u64);
-        }
-        let mut st = lock(&self.inner);
-        // Recheck under the lock: another connection may have retired
-        // the same job between the peek above and the cache write (both
-        // writes carry identical bytes, so the race is benign).
-        if matches!(
-            st.jobs.get(id).map(|j| &j.status),
-            Some(JobStatus::Completed | JobStatus::Quarantined { .. })
-        ) {
-            drop(st);
-            if let Some(hub) = &self.telemetry {
-                hub.count_host("campaign.remote.dup_retires", 1);
-            }
-            return RetireOutcome::Duplicate;
-        }
-        if let Some(job) = st.jobs.get_mut(id) {
-            job.status = JobStatus::Completed;
-            job.insns = insns;
-        }
-        let doc = Json::obj()
-            .set("rec", Json::Str("completed".to_string()))
-            .set("job", Json::Str(id.to_string()));
-        if !self.append(&mut st, &doc) {
-            return RetireOutcome::Failed;
-        }
-        drop(st);
-        let _ = std::fs::remove_file(self.ck_path(id));
-        RetireOutcome::Recorded
-    }
-
-    /// Quarantine a job on a remote worker's behalf. Idempotent: a job
-    /// that is already terminal is left untouched, so a stale worker's
-    /// verdict can never overwrite a recorded completion.
-    fn remote_quarantine(&self, id: &str, class: &str, message: &str) -> bool {
-        let spec = {
-            let st = lock(&self.inner);
-            if st.crashed {
-                return false;
-            }
-            match st.jobs.get(id) {
-                Some(job) => {
-                    if matches!(job.status, JobStatus::Completed | JobStatus::Quarantined { .. }) {
-                        drop(st);
-                        if let Some(hub) = &self.telemetry {
-                            hub.count_host("campaign.remote.dup_retires", 1);
-                        }
-                        return true;
-                    }
-                    job.spec
-                }
-                None => return false,
-            }
-        };
-        self.quarantine(id, &spec.label(), spec, class, message);
-        true
-    }
-
-    /// Release a lease held by worker `w` (remote graceful drain). A
-    /// release for a lease the worker no longer holds is a no-op.
-    fn remote_release(&self, id: &str, w: u64) {
-        let holds = matches!(
-            lock(&self.inner).jobs.get(id).map(|j| &j.status),
-            Some(JobStatus::Leased { worker, .. }) if *worker == w
-        );
-        if holds {
-            self.release(id);
-        }
-    }
-
-    /// Execute one leased job to a terminal state (or checkpoint +
-    /// release on drain, or stop on crash).
-    fn execute(&self, _w: u64, id: &str, spec: JobSpec, mut attempts: u32) {
-        let label = spec.label();
-        let digest = spec.digest();
+    /// Run one leased job on in-process worker `w`: the shared
+    /// [`run_job`] loop, landing its transitions on this campaign.
+    fn execute(&self, w: u64, job: &LeasedJob) {
+        let label = job.spec.label();
         let wall0 = Instant::now();
+        let resume = self.resume_text(&job.id).and_then(|text| checkpoint::parse(&text).ok());
         if let Some(hub) = &self.telemetry {
             hub.job_started(&label);
+            if resume.is_some() {
+                hub.job_resumed(&label, job.attempts + 1);
+            }
         }
-        let workload = Workload::new(spec.app, spec.scale, spec.seed);
         let profiler = self.telemetry.as_ref().and_then(TelemetryHub::profiler_period);
-        let cfg = spec.hw.config();
-        let mut resume: Option<Checkpoint> = std::fs::read_to_string(self.ck_path(id))
-            .ok()
-            .and_then(|text| checkpoint::parse(&text).ok());
-        if resume.is_some() {
-            if let Some(hub) = &self.telemetry {
-                hub.job_resumed(&label, attempts + 1);
-            }
-        }
-        loop {
-            let done = resume.as_ref().map_or(0, |c| c.insns_total);
-            let budget = self.config.budget.map(|b| widened_budget(digest, b, attempts));
-            let slice_end = match (self.config.chunk, budget) {
-                (0, None) => None,
-                (0, Some(b)) => Some(b),
-                (c, None) => Some((done / c + 1) * c),
-                (c, Some(b)) => Some(((done / c + 1) * c).min(b)),
-            };
-            let watchdog =
-                slice_end.map(|e| Watchdog { max_cycles: None, max_instructions: Some(e) });
-            let result = match (&resume, watchdog) {
-                (Some(ck), Some(wd)) => {
-                    workload.resume_instrumented(spec.variant, &cfg, ck, wd, profiler)
-                }
-                _ => workload.run_full_instrumented(
-                    spec.variant,
-                    &cfg,
-                    None,
-                    watchdog,
-                    LockstepMode::Off,
-                    profiler,
-                ),
-            };
-            match result {
-                Ok(run) => {
-                    if run.validated {
-                        self.complete(id, &label, spec, attempts, &run, wall0);
-                    } else {
-                        let what = format!(
-                            "{label}: output mismatch: {}",
-                            run.mismatches.first().map(String::as_str).unwrap_or("?")
-                        );
-                        self.quarantine(id, &label, spec, "validation", &what);
-                    }
-                    return;
-                }
-                Err(RunError::Timeout { checkpoint, .. }) => {
-                    let hit_budget = budget.is_some_and(|b| checkpoint.insns_total >= b);
-                    if hit_budget {
-                        attempts += 1;
-                        if attempts >= self.config.max_attempts {
-                            let msg = format!(
-                                "{label}: budget exhausted after {} attempts ({} insns)",
-                                attempts, checkpoint.insns_total
-                            );
-                            self.quarantine(id, &label, spec, "timeout", &msg);
-                            return;
-                        }
-                        if !self.retry(id, &label, attempts, "timeout", Some(&checkpoint)) {
-                            return;
-                        }
-                        resume = Some(*checkpoint);
-                    } else {
-                        // Routine chunk boundary: persist and continue.
-                        if !self.progress(id, &label, &checkpoint) {
-                            return;
-                        }
-                        resume = Some(*checkpoint);
-                        if self.draining.load(Ordering::SeqCst) {
-                            self.release(id);
-                            return;
-                        }
-                    }
-                }
-                Err(err @ (RunError::Trap(_) | RunError::Divergence { .. })) => {
-                    attempts += 1;
-                    let class = err.class();
-                    let msg = format!("{label}: {err}");
-                    if attempts >= self.config.max_attempts {
-                        self.quarantine(id, &label, spec, class, &msg);
-                        return;
-                    }
-                    // Restart from scratch: the checkpoint (if any) is
-                    // tainted. Remove it *before* the retry record so a
-                    // crash between the two never resumes stale state.
-                    if !self.retry(id, &label, attempts, class, None) {
-                        return;
-                    }
-                    resume = None;
-                }
-                Err(err) => {
-                    let msg = format!("{label}: {err}");
-                    self.quarantine(id, &label, spec, err.class(), &msg);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Persist a routine checkpoint and its `progress` record.
-    fn progress(&self, id: &str, _label: &str, ck: &Checkpoint) -> bool {
-        if lock(&self.inner).crashed {
-            return false;
-        }
-        self.store_checkpoint(id, &checkpoint::render(ck))
-            && self.append_progress(id, ck.insns_total)
+        let plan = JobPlan {
+            chunk: self.config.chunk,
+            budget: self.config.budget,
+            max_attempts: self.config.max_attempts,
+        };
+        let mut shard = Local { campaign: self, worker: w, label, wall0 };
+        run_job(&mut shard, job, &plan, resume, profiler);
     }
 
     /// Atomically persist a rendered checkpoint for `id`.
@@ -1350,9 +1117,25 @@ impl Campaign {
         true
     }
 
-    /// Append the `progress` record for `id`, bumping the lease
-    /// heartbeat and the in-memory instruction high-water mark.
-    fn append_progress(&self, id: &str, insns: u64) -> bool {
+    /// Record worker `w`'s chunk-boundary checkpoint: persist the
+    /// rendered text, then append the `progress` record, which doubles
+    /// as the lease heartbeat. Progress from a worker that no longer
+    /// holds the lease (it expired and another shard reclaimed the job)
+    /// is accepted but neither stored nor journaled, so a stale shard
+    /// cannot keep the new lease alive or replace its resume state.
+    /// `false` means the incarnation crashed or a write failed.
+    fn progress(&self, id: &str, w: u64, insns: u64, text: &str) -> bool {
+        let st = lock(&self.inner);
+        if st.crashed {
+            return false;
+        }
+        if holder(&st, id) != Some(w) {
+            return true;
+        }
+        drop(st);
+        if !self.store_checkpoint(id, text) {
+            return false;
+        }
         let mut st = lock(&self.inner);
         let now = now_ms();
         if let Some(job) = st.jobs.get_mut(id) {
@@ -1361,51 +1144,32 @@ impl Campaign {
                 *hb = now;
             }
         }
-        let doc = Json::obj()
-            .set("rec", Json::Str("progress".to_string()))
-            .set("job", Json::Str(id.to_string()))
+        let doc = record("progress", id)
             .set("insns", Json::Num(insns as f64))
             .set("hb", Json::Num(now as f64));
         self.append(&mut st, &doc)
     }
 
-    /// Record a failed attempt; persist (budget retry) or remove
-    /// (scratch retry) the checkpoint first, so a crash between the
-    /// two converges.
-    fn retry(
-        &self,
-        id: &str,
-        label: &str,
-        attempt: u32,
-        class: &str,
-        ck: Option<&Checkpoint>,
-    ) -> bool {
+    /// Record a failed attempt: persist (budget retry) or remove
+    /// (scratch retry) the checkpoint first, so a crash between the two
+    /// converges, then journal the authoritative attempt count.
+    fn retry(&self, id: &str, attempt: u32, class: &str, text: Option<&str>) -> bool {
+        let Some(spec) = self.spec(id) else { return false };
         if lock(&self.inner).crashed {
             return false;
         }
-        match ck {
-            Some(ck) => {
-                if !self.store_checkpoint(id, &checkpoint::render(ck)) {
-                    return false;
-                }
-            }
+        match text {
+            Some(text) if !self.store_checkpoint(id, text) => return false,
+            Some(_) => {}
             None => {
                 let _ = std::fs::remove_file(self.ck_path(id));
             }
         }
-        self.record_retry(id, label, attempt, class)
-    }
-
-    /// Append the `retry` record for `id` (the checkpoint, if any, must
-    /// already be persisted or removed by the caller).
-    fn record_retry(&self, id: &str, label: &str, attempt: u32, class: &str) -> bool {
         let mut st = lock(&self.inner);
         if let Some(job) = st.jobs.get_mut(id) {
             job.attempts = attempt;
         }
-        let doc = Json::obj()
-            .set("rec", Json::Str("retry".to_string()))
-            .set("job", Json::Str(id.to_string()))
+        let doc = record("retry", id)
             .set("attempt", Json::Num(f64::from(attempt)))
             .set("class", Json::Str(class.to_string()));
         if !self.append(&mut st, &doc) {
@@ -1413,108 +1177,112 @@ impl Campaign {
         }
         drop(st);
         if let Some(hub) = &self.telemetry {
-            hub.job_retried(label, attempt, class);
+            hub.job_retried(&spec.label(), attempt, class);
         }
         true
     }
 
-    /// Release a lease on drain: the job stays resumable.
-    fn release(&self, id: &str) {
+    /// Release worker `w`'s lease on drain: the job stays resumable. A
+    /// release for a lease the worker no longer holds is a no-op.
+    fn release(&self, id: &str, w: u64) {
         let mut st = lock(&self.inner);
+        if holder(&st, id) != Some(w) {
+            return;
+        }
         if let Some(job) = st.jobs.get_mut(id) {
             job.status = JobStatus::Pending;
         }
-        let doc = Json::obj()
-            .set("rec", Json::Str("released".to_string()))
-            .set("job", Json::Str(id.to_string()));
-        self.append(&mut st, &doc);
+        self.append(&mut st, &record("released", id));
     }
 
-    /// Finish a validated run: write the cache report (before the
-    /// `completed` record — a crash between the two re-runs the job and
-    /// rewrites identical bytes), mark completed, drop the checkpoint.
-    fn complete(
+    /// Retire a validated run through [`Campaign::finish`]: its report
+    /// goes into the run cache, then the `completed` record.
+    fn retire(&self, id: &str, insns: u64, report: &str) -> RetireOutcome {
+        self.finish(id, report, JobStatus::Completed, Some(insns))
+    }
+
+    /// Quarantine a job through [`Campaign::finish`]: its degraded
+    /// report goes into the run cache (so resubmission is still a cache
+    /// hit), then the `quarantined` record. `false` means the
+    /// transition failed; a duplicate is acknowledged.
+    fn quarantine(&self, id: &str, class: &str, message: &str) -> bool {
+        let Some(spec) = self.spec(id) else { return false };
+        let label = spec.label();
+        let mut report = job_report_shell(&label, spec);
+        report.degrade_classified(class, message);
+        let status =
+            JobStatus::Quarantined { class: class.to_string(), message: message.to_string() };
+        let outcome = self.finish(id, &report.render_json(), status, None);
+        if let (RetireOutcome::Recorded, Some(hub)) = (outcome, &self.telemetry) {
+            hub.job_quarantined(&label, class);
+        }
+        outcome != RetireOutcome::Failed
+    }
+
+    /// The terminal transition: write the job's cache report before its
+    /// record — a crash between the two re-runs the job and rewrites
+    /// identical bytes — then drop the checkpoint. A job that is already
+    /// terminal (a re-delivery after a reconnect, or an expired lease
+    /// re-run by another shard) is a [`RetireOutcome::Duplicate`],
+    /// counted in `campaign.dup_retires` and left untouched, cache file
+    /// included, so a stale verdict never overwrites a recorded one.
+    fn finish(
         &self,
         id: &str,
-        label: &str,
-        spec: JobSpec,
-        attempts: u32,
-        run: &crate::apps::AppRun,
-        wall0: Instant,
-    ) {
-        if lock(&self.inner).crashed {
-            return;
+        report: &str,
+        status: JobStatus,
+        insns: Option<u64>,
+    ) -> RetireOutcome {
+        if let Err(outcome) = self.may_finish(&lock(&self.inner), id) {
+            return outcome;
         }
-        let report = job_report(label, spec, run);
         let started = Instant::now();
-        if write_atomic(self.cache_path(id), &report.render_json()).is_err() {
-            return;
+        if write_atomic(self.cache_path(id), report).is_err() {
+            return RetireOutcome::Failed;
         }
         if let Some(hub) = &self.telemetry {
             hub.phase_host("cache", started.elapsed().as_nanos() as u64);
         }
         let mut st = lock(&self.inner);
-        if matches!(st.jobs.get(id).map(|j| &j.status), Some(JobStatus::Completed)) {
-            return;
+        // Recheck under the lock: another shard may have finished the
+        // job since the peek (a racing retire writes identical bytes).
+        if let Err(outcome) = self.may_finish(&st, id) {
+            return outcome;
         }
+        let doc = match &status {
+            JobStatus::Quarantined { class, message } => record("quarantined", id)
+                .set("class", Json::Str(class.clone()))
+                .set("message", Json::Str(message.clone())),
+            _ => record("completed", id),
+        };
         if let Some(job) = st.jobs.get_mut(id) {
-            job.status = JobStatus::Completed;
-            job.insns = run.counters.instructions;
+            job.status = status;
+            if let Some(insns) = insns {
+                job.insns = insns;
+            }
         }
-        let doc = Json::obj()
-            .set("rec", Json::Str("completed".to_string()))
-            .set("job", Json::Str(id.to_string()));
         if !self.append(&mut st, &doc) {
-            return;
+            return RetireOutcome::Failed;
         }
         drop(st);
         let _ = std::fs::remove_file(self.ck_path(id));
-        if let Some(hub) = &self.telemetry {
-            hub.job_retired(
-                JobSpan {
-                    job: label.to_string(),
-                    wall_ms: wall0.elapsed().as_secs_f64() * 1e3,
-                    instructions: run.counters.instructions,
-                    attempts: attempts + 1,
-                    phases: run.phases,
-                },
-                run.guest_profile.as_deref(),
-            );
-        }
+        RetireOutcome::Recorded
     }
 
-    /// Quarantine a job: cache its degraded report (so resubmission is
-    /// still a cache hit), record, drop the checkpoint.
-    fn quarantine(&self, id: &str, label: &str, spec: JobSpec, class: &str, message: &str) {
-        if lock(&self.inner).crashed {
-            return;
-        }
-        let mut report = job_report_shell(label, spec);
-        report.degrade_classified(class, message);
-        let started = Instant::now();
-        if write_atomic(self.cache_path(id), &report.render_json()).is_err() {
-            return;
-        }
-        if let Some(hub) = &self.telemetry {
-            hub.phase_host("cache", started.elapsed().as_nanos() as u64);
-        }
-        let mut st = lock(&self.inner);
-        if let Some(job) = st.jobs.get_mut(id) {
-            job.status =
-                JobStatus::Quarantined { class: class.to_string(), message: message.to_string() };
-        }
-        let doc = Json::obj()
-            .set("rec", Json::Str("quarantined".to_string()))
-            .set("job", Json::Str(id.to_string()))
-            .set("class", Json::Str(class.to_string()))
-            .set("message", Json::Str(message.to_string()));
-        if !self.append(&mut st, &doc) {
-            return;
-        }
-        drop(st);
-        let _ = std::fs::remove_file(self.ck_path(id));
-        if let Some(hub) = &self.telemetry {
-            hub.job_quarantined(label, class);
+    /// Whether a terminal transition may still land on `id`: not after
+    /// a crash or on an unknown job ([`RetireOutcome::Failed`]), nor on
+    /// a job already terminal ([`RetireOutcome::Duplicate`], counted).
+    fn may_finish(&self, st: &Inner, id: &str) -> Result<(), RetireOutcome> {
+        match st.jobs.get(id).map(|j| &j.status) {
+            _ if st.crashed => Err(RetireOutcome::Failed),
+            None => Err(RetireOutcome::Failed),
+            Some(JobStatus::Completed | JobStatus::Quarantined { .. }) => {
+                if let Some(hub) = &self.telemetry {
+                    hub.count_host("campaign.dup_retires", 1);
+                }
+                Err(RetireOutcome::Duplicate)
+            }
+            Some(_) => Ok(()),
         }
     }
 
@@ -1570,6 +1338,182 @@ impl Campaign {
         }
         Ok(merged)
     }
+}
+
+/// How a shard runs a leased job: the checkpoint grid, the base
+/// instruction budget and the attempt limit.
+struct JobPlan {
+    chunk: u64,
+    budget: Option<u64>,
+    max_attempts: u32,
+}
+
+/// Where [`run_job`] lands a job's transitions. The in-process shard
+/// ([`Local`]) calls the campaign directly; the remote worker's client
+/// sends frames that [`remote::serve`] lands on the same transitions.
+trait Shard {
+    /// Before each slice: keep the lease alive.
+    fn heartbeat(&mut self, _id: &str) {}
+    /// A routine chunk-boundary checkpoint. `None` stops the job;
+    /// `Some(drain)` continues it, or releases it when the campaign
+    /// drains.
+    fn progress(&mut self, id: &str, ck: &Checkpoint) -> Option<bool>;
+    /// A failed attempt, resumed from `ck` or (`None`) from scratch.
+    /// `false` stops the job.
+    fn retry(&mut self, id: &str, attempt: u32, class: &str, ck: Option<&Checkpoint>) -> bool;
+    /// A validated run and its rendered report, after `attempts` failed
+    /// attempts.
+    fn retire(&mut self, id: &str, attempts: u32, run: &AppRun, report: String);
+    /// A terminal failure.
+    fn quarantine(&mut self, id: &str, class: &str, message: &str);
+    /// Give the lease back on drain; the job stays resumable.
+    fn release(&mut self, id: &str);
+}
+
+/// The in-process shard: worker `worker` of `campaign`.
+struct Local<'c> {
+    campaign: &'c Campaign,
+    worker: u64,
+    label: String,
+    wall0: Instant,
+}
+
+impl Shard for Local<'_> {
+    fn progress(&mut self, id: &str, ck: &Checkpoint) -> Option<bool> {
+        let c = self.campaign;
+        c.progress(id, self.worker, ck.insns_total, &checkpoint::render(ck))
+            .then(|| c.is_draining())
+    }
+
+    fn retry(&mut self, id: &str, attempt: u32, class: &str, ck: Option<&Checkpoint>) -> bool {
+        self.campaign.retry(id, attempt, class, ck.map(checkpoint::render).as_deref())
+    }
+
+    fn retire(&mut self, id: &str, attempts: u32, run: &AppRun, report: String) {
+        let outcome = self.campaign.retire(id, run.counters.instructions, &report);
+        if let (RetireOutcome::Recorded, Some(hub)) = (outcome, &self.campaign.telemetry) {
+            hub.job_retired(
+                JobSpan {
+                    job: self.label.clone(),
+                    wall_ms: self.wall0.elapsed().as_secs_f64() * 1e3,
+                    instructions: run.counters.instructions,
+                    attempts: attempts + 1,
+                    phases: run.phases,
+                },
+                run.guest_profile.as_deref(),
+            );
+        }
+    }
+
+    fn quarantine(&mut self, id: &str, class: &str, message: &str) {
+        self.campaign.quarantine(id, class, message);
+    }
+
+    fn release(&mut self, id: &str) {
+        self.campaign.release(id, self.worker);
+    }
+}
+
+/// Execute one leased job on `shard` until a terminal transition, a
+/// release on drain, or the shard stops it. Both kinds of shard run
+/// this one loop, so the slice grid, the seeded budget widening, the
+/// retry and quarantine thresholds, the quarantine messages and the
+/// cache report's rendering are the same whichever shard ran the job.
+fn run_job(
+    shard: &mut impl Shard,
+    job: &LeasedJob,
+    plan: &JobPlan,
+    mut resume: Option<Checkpoint>,
+    profiler: Option<u64>,
+) {
+    let (id, spec, label, digest) =
+        (job.id.as_str(), job.spec, job.spec.label(), job.spec.digest());
+    let workload = Workload::new(spec.app, spec.scale, spec.seed);
+    let cfg = spec.hw.config();
+    let mut attempts = job.attempts;
+    loop {
+        shard.heartbeat(id);
+        let done = resume.as_ref().map_or(0, |c| c.insns_total);
+        let budget = plan.budget.map(|b| widened_budget(digest, b, attempts));
+        let slice_end = match (plan.chunk, budget) {
+            (0, None) => None,
+            (0, Some(b)) => Some(b),
+            (c, None) => Some((done / c + 1) * c),
+            (c, Some(b)) => Some(((done / c + 1) * c).min(b)),
+        };
+        let watchdog = slice_end.map(|e| Watchdog { max_cycles: None, max_instructions: Some(e) });
+        let result = match (&resume, watchdog) {
+            (Some(ck), Some(wd)) => {
+                workload.resume_instrumented(spec.variant, &cfg, ck, wd, profiler)
+            }
+            _ => workload.run_full_instrumented(
+                spec.variant,
+                &cfg,
+                None,
+                watchdog,
+                LockstepMode::Off,
+                profiler,
+            ),
+        };
+        // A retryable failure: its class, the message it quarantines
+        // with at the attempt limit, and the checkpoint a retry resumes
+        // from (`None`: the state is tainted, restart from scratch).
+        let (class, message, from) = match result {
+            Ok(run) if run.validated => {
+                let report = job_report(&label, spec, &run).render_json();
+                return shard.retire(id, attempts, &run, report);
+            }
+            Ok(run) => {
+                let first = run.mismatches.first().map(String::as_str).unwrap_or("?");
+                let what = format!("{label}: output mismatch: {first}");
+                return shard.quarantine(id, "validation", &what);
+            }
+            Err(RunError::Timeout { checkpoint, .. })
+                if budget.is_some_and(|b| checkpoint.insns_total >= b) =>
+            {
+                let msg = format!(
+                    "{label}: budget exhausted after {} attempts ({} insns)",
+                    attempts + 1,
+                    checkpoint.insns_total
+                );
+                ("timeout", msg, Some(checkpoint))
+            }
+            Err(RunError::Timeout { checkpoint, .. }) => {
+                // Routine chunk boundary: persist and continue.
+                match shard.progress(id, &checkpoint) {
+                    Some(false) => resume = Some(*checkpoint),
+                    Some(true) => return shard.release(id),
+                    None => return,
+                }
+                continue;
+            }
+            Err(err @ (RunError::Trap(_) | RunError::Divergence { .. })) => {
+                (err.class(), format!("{label}: {err}"), None)
+            }
+            Err(err) => return shard.quarantine(id, err.class(), &format!("{label}: {err}")),
+        };
+        attempts += 1;
+        if attempts >= plan.max_attempts {
+            return shard.quarantine(id, class, &message);
+        }
+        if !shard.retry(id, attempts, class, from.as_deref()) {
+            return;
+        }
+        resume = from.map(|ck| *ck);
+    }
+}
+
+/// The worker holding the lease on `id`, if it is leased.
+fn holder(st: &Inner, id: &str) -> Option<u64> {
+    match st.jobs.get(id).map(|j| &j.status) {
+        Some(JobStatus::Leased { worker, .. }) => Some(*worker),
+        _ => None,
+    }
+}
+
+/// A journal record of `kind` about job `id`.
+fn record(kind: &str, id: &str) -> Json {
+    Json::obj().set("rec", Json::Str(kind.to_string())).set("job", Json::Str(id.to_string()))
 }
 
 /// The seeded exponential backoff budget for attempt `retries` of the

@@ -33,6 +33,8 @@
 //! * Job results are deterministic functions of the spec (bit-exact
 //!   checkpoint/resume on a fixed chunk grid), so it does not matter
 //!   which worker finishes a job or how many times its connection died.
+//!   A worker runs the campaign's one execute loop, the same as an
+//!   in-process shard, with its wire client landing the transitions.
 //! * Workers use at-least-once delivery: a strict request-reply
 //!   exchange that reconnects (seeded exponential backoff) and resends
 //!   on any wire error. The server tolerates replays; the worker
@@ -50,8 +52,9 @@
 //! can prove byte-identity under any interleaving they can name.
 
 use super::{
-    job_report, widened_budget, Campaign, Claim, JobSpec, JobStatus, LeasedJob, RetireOutcome,
+    run_job, Campaign, Claim, JobPlan, JobSpec, JobStatus, LeasedJob, RetireOutcome, Shard,
 };
+use crate::apps::AppRun;
 use crate::checkpoint;
 use crate::json::Json;
 use crate::schema::{check_schema, UnsupportedVersion};
@@ -943,9 +946,11 @@ pub struct RemoteSummary {
 /// Serve a campaign's jobs to remote worker shards and stream retired
 /// results to subscribers, until every submitted job is terminal (or a
 /// drain empties the in-flight set). All durable state stays on this
-/// side: workers only ever see job specs and send back outcomes, every
-/// one of which lands through the same idempotent, crash-ordered paths
-/// the in-process workers use.
+/// side: workers run the campaign's one execute loop and send back its
+/// transitions, which land on the same idempotent, crash-ordered
+/// campaign transitions the in-process shard calls. Checkpoint text
+/// from a worker is parsed before it lands; `progress` counts only
+/// from the connection whose `hello` named the lease holder.
 ///
 /// # Errors
 ///
@@ -1047,12 +1052,7 @@ const WRITE_DEADLINE_MS: u64 = 5_000;
 /// campaign transition, so replays after reconnects converge instead of
 /// double-counting; a server-side failure drops the connection and lets
 /// the worker's reconnect-and-resend loop drive convergence.
-fn worker_session(
-    campaign: &Campaign,
-    mut fs: FramedStream,
-    _hello_worker: u64,
-    done: &AtomicBool,
-) {
+fn worker_session(campaign: &Campaign, mut fs: FramedStream, hello_worker: u64, done: &AtomicBool) {
     loop {
         let frame = match fs.recv() {
             Ok(frame) => frame,
@@ -1066,7 +1066,7 @@ fn worker_session(
             Err(_) => return,
         };
         let drain = campaign.is_draining();
-        let reply = match frame {
+        let (job, landed) = match frame {
             Frame::Fetch { worker } => {
                 // Re-deliver an in-flight lease first (idempotent
                 // re-delivery keyed by the content-addressed id): a
@@ -1080,54 +1080,47 @@ fn worker_session(
                     }
                     None => campaign.claim_for(worker),
                 };
-                match claim {
-                    Claim::Job(job) => Some(job_frame(campaign, &job)),
-                    Claim::Busy => Some(Frame::Idle),
-                    Claim::Drained | Claim::Finished => Some(Frame::Done),
+                let reply = match claim {
+                    Claim::Job(job) => job_frame(campaign, &job),
+                    Claim::Busy => Frame::Idle,
+                    Claim::Drained | Claim::Finished => Frame::Done,
+                };
+                if fs.send(&reply).is_err() {
+                    return;
                 }
+                continue;
             }
             Frame::Heartbeat { worker, job } => {
                 campaign.touch_lease(&job, worker);
-                None
+                continue;
             }
-            Frame::Progress { job, insns, checkpoint } => {
-                if !campaign.remote_progress(&job, insns, &checkpoint) {
-                    return;
-                }
-                Some(Frame::Ack { job, drain })
+            Frame::Progress { job, insns, checkpoint: text } => {
+                let landed = checkpoint::parse(&text).is_ok()
+                    && campaign.progress(&job, hello_worker, insns, &text);
+                (job, landed)
             }
-            Frame::Retry { job, attempt, class, checkpoint } => {
-                let label = campaign.spec(&job).map(|s| s.label()).unwrap_or_else(|| job.clone());
-                if !campaign.remote_retry(&job, &label, attempt, &class, checkpoint.as_deref()) {
-                    return;
-                }
-                Some(Frame::Ack { job, drain })
+            Frame::Retry { job, attempt, class, checkpoint: text } => {
+                let text = text.as_deref();
+                let landed = text.is_none_or(|t| checkpoint::parse(t).is_ok())
+                    && campaign.retry(&job, attempt, &class, text);
+                (job, landed)
             }
             Frame::Retire { job, insns, report } => {
-                match campaign.remote_retire(&job, insns, &report) {
-                    RetireOutcome::Recorded | RetireOutcome::Duplicate => {
-                        Some(Frame::Ack { job, drain })
-                    }
-                    RetireOutcome::Failed => return,
-                }
+                let landed = campaign.retire(&job, insns, &report) != RetireOutcome::Failed;
+                (job, landed)
             }
             Frame::Quarantine { job, class, message } => {
-                if !campaign.remote_quarantine(&job, &class, &message) {
-                    return;
-                }
-                Some(Frame::Ack { job, drain })
+                let landed = campaign.quarantine(&job, &class, &message);
+                (job, landed)
             }
             Frame::Release { job, worker } => {
-                campaign.remote_release(&job, worker);
-                Some(Frame::Ack { job, drain })
+                campaign.release(&job, worker);
+                (job, true)
             }
-            Frame::Done => return,
             _ => return,
         };
-        if let Some(reply) = reply {
-            if fs.send(&reply).is_err() {
-                return;
-            }
+        if !landed || fs.send(&Frame::Ack { job, drain }).is_err() {
+            return;
         }
     }
 }
@@ -1254,19 +1247,10 @@ pub fn run_worker(opts: &WorkerOptions) -> WorkerSummary {
         match client.exchange(&Frame::Fetch { worker: opts.worker }) {
             Ok(Frame::Job { job, spec, attempts, chunk, budget, max_attempts, resume }) => {
                 jobs_run += 1;
-                if run_job(
-                    &mut client,
-                    opts,
-                    &job,
-                    spec,
-                    attempts,
-                    chunk,
-                    budget,
-                    max_attempts,
-                    resume,
-                )
-                .is_err()
-                {
+                let resume = resume.and_then(|text| checkpoint::parse(&text).ok());
+                let job = LeasedJob { id: job, spec, attempts };
+                run_job(&mut client, &job, &JobPlan { chunk, budget, max_attempts }, resume, None);
+                if client.lost {
                     break false;
                 }
             }
@@ -1284,7 +1268,8 @@ pub fn run_worker(opts: &WorkerOptions) -> WorkerSummary {
 }
 
 /// Reconnecting framed client: strict request-reply with at-least-once
-/// resend on any wire error or reply desync.
+/// resend on any wire error or reply desync. It is the remote shard of
+/// the campaign's execute loop: each transition is one exchange.
 struct Client<'a> {
     opts: &'a WorkerOptions,
     stream: Option<FramedStream>,
@@ -1292,6 +1277,8 @@ struct Client<'a> {
     reconnects: u64,
     frames_sent: u64,
     ever_connected: bool,
+    /// An exchange gave the server up for dead mid-job.
+    lost: bool,
 }
 
 impl<'a> Client<'a> {
@@ -1303,6 +1290,7 @@ impl<'a> Client<'a> {
             reconnects: 0,
             frames_sent: 0,
             ever_connected: false,
+            lost: false,
         }
     }
 
@@ -1374,6 +1362,14 @@ impl<'a> Client<'a> {
             }
         }
     }
+
+    /// Exchange a transition frame; `None` (and `lost`) when the server
+    /// stopped answering.
+    fn report(&mut self, frame: &Frame) -> Option<Frame> {
+        let reply = self.exchange(frame).ok();
+        self.lost |= reply.is_none();
+        reply
+    }
 }
 
 /// Is `reply` a legal answer to `request`?
@@ -1391,147 +1387,40 @@ fn reply_matches(request: &Frame, reply: &Frame) -> bool {
     }
 }
 
-/// Execute one leased job on the worker, mirroring the in-process
-/// execute loop chunk for chunk: same grid, same seeded budget
-/// widening, same retry/quarantine thresholds, and — critically — the
-/// same report rendering, so the bytes the server caches are identical
-/// no matter which side ran the job.
-#[allow(clippy::too_many_arguments)]
-fn run_job(
-    client: &mut Client<'_>,
-    opts: &WorkerOptions,
-    id: &str,
-    spec: JobSpec,
-    mut attempts: u32,
-    chunk: u64,
-    budget: Option<u64>,
-    max_attempts: u32,
-    resume_text: Option<String>,
-) -> Result<(), WireError> {
-    let label = spec.label();
-    let digest = spec.digest();
-    let workload = crate::apps::Workload::new(spec.app, spec.scale, spec.seed);
-    let cfg = spec.hw.config();
-    let mut resume: Option<Checkpoint> = resume_text.and_then(|text| checkpoint::parse(&text).ok());
-    loop {
-        client.send_oneway(&Frame::Heartbeat { worker: opts.worker, job: id.to_string() });
-        let done = resume.as_ref().map_or(0, |c| c.insns_total);
-        let wbudget = budget.map(|b| widened_budget(digest, b, attempts));
-        let slice_end = match (chunk, wbudget) {
-            (0, None) => None,
-            (0, Some(b)) => Some(b),
-            (c, None) => Some((done / c + 1) * c),
-            (c, Some(b)) => Some(((done / c + 1) * c).min(b)),
-        };
-        let watchdog =
-            slice_end.map(|e| power5_sim::Watchdog { max_cycles: None, max_instructions: Some(e) });
-        let result = match (&resume, watchdog) {
-            (Some(ck), Some(wd)) => workload.resume_instrumented(spec.variant, &cfg, ck, wd, None),
-            _ => workload.run_full_instrumented(
-                spec.variant,
-                &cfg,
-                None,
-                watchdog,
-                power5_sim::LockstepMode::Off,
-                None,
-            ),
-        };
-        use crate::apps::RunError;
-        match result {
-            Ok(run) => {
-                if run.validated {
-                    let report = job_report(&label, spec, &run);
-                    client.exchange(&Frame::Retire {
-                        job: id.to_string(),
-                        insns: run.counters.instructions,
-                        report: report.render_json(),
-                    })?;
-                } else {
-                    let what = format!(
-                        "{label}: output mismatch: {}",
-                        run.mismatches.first().map(String::as_str).unwrap_or("?")
-                    );
-                    client.exchange(&Frame::Quarantine {
-                        job: id.to_string(),
-                        class: "validation".to_string(),
-                        message: what,
-                    })?;
-                }
-                return Ok(());
-            }
-            Err(RunError::Timeout { checkpoint, .. }) => {
-                let hit_budget = wbudget.is_some_and(|b| checkpoint.insns_total >= b);
-                if hit_budget {
-                    attempts += 1;
-                    if attempts >= max_attempts {
-                        let msg = format!(
-                            "{label}: budget exhausted after {} attempts ({} insns)",
-                            attempts, checkpoint.insns_total
-                        );
-                        client.exchange(&Frame::Quarantine {
-                            job: id.to_string(),
-                            class: "timeout".to_string(),
-                            message: msg,
-                        })?;
-                        return Ok(());
-                    }
-                    client.exchange(&Frame::Retry {
-                        job: id.to_string(),
-                        attempt: attempts,
-                        class: "timeout".to_string(),
-                        checkpoint: Some(checkpoint::render(&checkpoint)),
-                    })?;
-                    resume = Some(*checkpoint);
-                } else {
-                    let reply = client.exchange(&Frame::Progress {
-                        job: id.to_string(),
-                        insns: checkpoint.insns_total,
-                        checkpoint: checkpoint::render(&checkpoint),
-                    })?;
-                    resume = Some(*checkpoint);
-                    match reply {
-                        Frame::Ack { drain: true, .. } => {
-                            let _ = client.exchange(&Frame::Release {
-                                job: id.to_string(),
-                                worker: opts.worker,
-                            });
-                            return Ok(());
-                        }
-                        Frame::Done => return Ok(()),
-                        _ => {}
-                    }
-                }
-            }
-            Err(err @ (RunError::Trap(_) | RunError::Divergence { .. })) => {
-                attempts += 1;
-                let class = err.class();
-                let msg = format!("{label}: {err}");
-                if attempts >= max_attempts {
-                    client.exchange(&Frame::Quarantine {
-                        job: id.to_string(),
-                        class: class.to_string(),
-                        message: msg,
-                    })?;
-                    return Ok(());
-                }
-                client.exchange(&Frame::Retry {
-                    job: id.to_string(),
-                    attempt: attempts,
-                    class: class.to_string(),
-                    checkpoint: None,
-                })?;
-                resume = None;
-            }
-            Err(err) => {
-                let msg = format!("{label}: {err}");
-                client.exchange(&Frame::Quarantine {
-                    job: id.to_string(),
-                    class: err.class().to_string(),
-                    message: msg,
-                })?;
-                return Ok(());
-            }
+impl Shard for Client<'_> {
+    fn heartbeat(&mut self, id: &str) {
+        self.send_oneway(&Frame::Heartbeat { worker: self.opts.worker, job: id.to_string() });
+    }
+
+    fn progress(&mut self, id: &str, ck: &Checkpoint) -> Option<bool> {
+        let (insns, checkpoint) = (ck.insns_total, checkpoint::render(ck));
+        match self.report(&Frame::Progress { job: id.to_string(), insns, checkpoint }) {
+            Some(Frame::Ack { drain, .. }) => Some(drain),
+            _ => None,
         }
+    }
+
+    fn retry(&mut self, id: &str, attempt: u32, class: &str, ck: Option<&Checkpoint>) -> bool {
+        let checkpoint = ck.map(checkpoint::render);
+        let frame =
+            Frame::Retry { job: id.to_string(), attempt, class: class.to_string(), checkpoint };
+        self.report(&frame).is_some()
+    }
+
+    fn retire(&mut self, id: &str, _attempts: u32, run: &AppRun, report: String) {
+        let insns = run.counters.instructions;
+        self.report(&Frame::Retire { job: id.to_string(), insns, report });
+    }
+
+    fn quarantine(&mut self, id: &str, class: &str, message: &str) {
+        let (class, message) = (class.to_string(), message.to_string());
+        self.report(&Frame::Quarantine { job: id.to_string(), class, message });
+    }
+
+    fn release(&mut self, id: &str) {
+        // A lost release leaves the lease to expire; the next fetch
+        // finds out whether the server is still there.
+        let _ = self.exchange(&Frame::Release { job: id.to_string(), worker: self.opts.worker });
     }
 }
 

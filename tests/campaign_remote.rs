@@ -11,13 +11,17 @@
 //! `BIOARCH_TEST_WORKER_ADDR` set: the [`worker_shard_entry`] test is a
 //! no-op in a normal run and becomes the shard's main loop in a child.
 
+use bioarch::apps::{RunError, Workload};
 use bioarch::campaign::remote::{
     self, ChaosConfig, ChaosProxy, Frame, FramedStream, Role, ServeOptions, WorkerOptions,
 };
 use bioarch::campaign::{Campaign, CampaignConfig, JobSpec, JobStatus};
 use bioarch::experiments::Hw;
+use bioarch::json::Json;
 use bioarch::{App, Scale, Variant};
-use std::net::{TcpListener, TcpStream};
+use power5_sim::{LockstepMode, Watchdog};
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -183,11 +187,7 @@ fn double_retire_is_a_cache_hit_not_a_double_count() {
         let server = s.spawn(|| {
             remote::serve(&campaign, listener, &ServeOptions { poll_ms: 50, deadline: None })
         });
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut fs = FramedStream::new(stream);
-        fs.set_deadlines(Some(5_000), Some(5_000)).expect("deadlines");
-        fs.send(&Frame::Hello { role: Role::Worker, worker: 9 }).expect("hello");
-        assert!(matches!(fs.recv(), Ok(Frame::HelloAck { .. })));
+        let mut fs = connect_worker(addr, 9);
         fs.send(&Frame::Fetch { worker: 9 }).expect("fetch");
         let Ok(Frame::Job { job, .. }) = fs.recv() else { panic!("expected a job") };
         // A parseable (empty) report document: merged_report is not the
@@ -312,4 +312,149 @@ fn deadline_drain_then_resume_completes_byte_identically() {
         server.join().expect("server thread").expect("serve");
     });
     assert_eq!(campaign.merged_report().expect("report").render_json(), reference);
+}
+
+/// A raw worker connection, past the `hello` handshake.
+fn connect_worker(addr: SocketAddr, worker: u64) -> FramedStream {
+    let mut fs = FramedStream::new(TcpStream::connect(addr).expect("connect"));
+    fs.set_deadlines(Some(5_000), Some(5_000)).expect("deadlines");
+    fs.send(&Frame::Hello { role: Role::Worker, worker }).expect("hello");
+    assert!(matches!(fs.recv(), Ok(Frame::HelloAck { .. })));
+    fs
+}
+
+/// A shard whose lease expired and was reclaimed may still send
+/// `progress`, which names no worker. The server acks it, but it must
+/// neither refresh the new holder's lease nor store or journal the
+/// stale checkpoint.
+#[test]
+fn progress_from_a_lost_lease_is_acked_but_not_recorded() {
+    let mut config = config(tmpdir("stale"));
+    config.lease_timeout_ms = 100;
+    let campaign = Campaign::open(config).expect("open");
+    let spec = specs().remove(0);
+    campaign.submit(spec).expect("submit");
+    // A real chunk-boundary checkpoint, as the stale shard would send it.
+    let watchdog = Watchdog { max_cycles: None, max_instructions: Some(20_000) };
+    let cut = Workload::new(spec.app, spec.scale, spec.seed).run_full_instrumented(
+        spec.variant,
+        &spec.hw.config(),
+        None,
+        Some(watchdog),
+        LockstepMode::Off,
+        None,
+    );
+    let Err(RunError::Timeout { checkpoint, .. }) = cut else { panic!("expected a watchdog cut") };
+    let text = bioarch::checkpoint::render(&checkpoint);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let dir = campaign.config().dir.clone();
+    // Observed inside the scope, asserted after it: the holder must
+    // retire the job whatever the stale progress did, or `serve` would
+    // wait on its lease forever.
+    let (job, held, acked, after, stored, journal) = std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            remote::serve(&campaign, listener, &ServeOptions { poll_ms: 50, deadline: None })
+        });
+        let mut stale = connect_worker(addr, 1);
+        stale.send(&Frame::Fetch { worker: 1 }).expect("fetch 1");
+        let Ok(Frame::Job { job, .. }) = stale.recv() else { panic!("worker 1 expected a job") };
+        std::thread::sleep(Duration::from_millis(250));
+        let mut holder = connect_worker(addr, 2);
+        holder.send(&Frame::Fetch { worker: 2 }).expect("fetch 2");
+        let Ok(Frame::Job { job: reclaimed, .. }) = holder.recv() else {
+            panic!("worker 2 expected the expired lease")
+        };
+        assert_eq!(reclaimed, job);
+        let held = campaign.status(&job);
+        // Let the clock move so a refreshed heartbeat would show.
+        std::thread::sleep(Duration::from_millis(20));
+        let progress =
+            Frame::Progress { job: job.clone(), insns: checkpoint.insns_total, checkpoint: text };
+        stale.send(&progress).expect("stale progress");
+        let acked = matches!(stale.recv(), Ok(Frame::Ack { job: j, .. }) if j == job);
+        let after = campaign.status(&job);
+        let stored = dir.join("state").join(format!("{job}.ck.json")).exists();
+        let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
+        let report = bioarch::report::Report::new("job").render_json();
+        holder.send(&Frame::Retire { job: job.clone(), insns: 1, report }).expect("retire");
+        assert!(matches!(holder.recv(), Ok(Frame::Ack { job: j, .. }) if j == job));
+        server.join().expect("server thread").expect("serve");
+        (job, held, acked, after, stored, journal)
+    });
+    assert!(matches!(held, Some(JobStatus::Leased { worker: 2, .. })), "{held:?}");
+    assert!(acked, "stale progress must still be acked");
+    assert_eq!(after, held, "stale progress refreshed the new holder's lease");
+    assert!(!stored, "stale progress stored its checkpoint");
+    assert!(!journal.contains("\"rec\":\"progress\""), "stale progress was journaled");
+    assert_eq!(campaign.status(&job), Some(JobStatus::Completed));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each job's journal records in order, less the header and the lease
+/// records, with the wall-clock `hb` and the `worker` id dropped.
+fn journal_records(campaign: &Campaign) -> BTreeMap<String, Vec<String>> {
+    let path = campaign.config().dir.join("journal.jsonl");
+    let text = std::fs::read_to_string(path).expect("journal");
+    let mut records: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for line in text.lines() {
+        let Ok(Json::Obj(fields)) = Json::parse(line) else { panic!("bad record {line}") };
+        let field = |name: &str| {
+            fields.iter().find(|(k, _)| k == name).and_then(|(_, v)| v.as_str()).map(str::to_string)
+        };
+        if matches!(field("rec").as_deref(), Some("header" | "lease")) {
+            continue;
+        }
+        let job = field("job").expect("record names its job");
+        let kept = fields.into_iter().filter(|(k, _)| k != "hb" && k != "worker").collect();
+        records.entry(job).or_default().push(Json::Obj(kept).render_compact());
+    }
+    records
+}
+
+/// A budgeted campaign on a remote shard — `retry` frames carrying a
+/// checkpoint, then `quarantine` frames — lands the same transitions as
+/// in-process shards: the same merged report and, per job, the same
+/// journal records.
+#[test]
+fn budgeted_remote_campaign_matches_in_process() {
+    let budgeted = |tag: &str| {
+        let mut config = config(tmpdir(tag));
+        config.chunk = 2_000;
+        config.budget = Some(5_000);
+        config.max_attempts = 2;
+        let campaign = Campaign::open(config).expect("open");
+        for spec in specs() {
+            campaign.submit(spec).expect("submit");
+        }
+        campaign
+    };
+    let local = budgeted("budget_local");
+    assert_eq!(local.run().quarantined, specs().len() as u64);
+    let reference = local.merged_report().expect("report").render_json();
+    assert!(reference.contains("budget exhausted"), "{reference}");
+
+    let campaign = budgeted("budget_remote");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            remote::serve(&campaign, listener, &ServeOptions { poll_ms: 50, deadline: None })
+        });
+        let worker = s.spawn(move || {
+            let mut opts = WorkerOptions::new(addr.to_string(), 1);
+            opts.max_net_attempts = 20;
+            remote::run_worker(&opts)
+        });
+        assert!(worker.join().expect("worker thread").clean);
+        server.join().expect("server thread").expect("serve");
+    });
+    assert_eq!(campaign.merged_report().expect("report").render_json(), reference);
+    let records = journal_records(&campaign);
+    let retries = records.values().flatten().filter(|r| r.contains("\"rec\":\"retry\"")).count();
+    assert!(retries > 0, "the budget never forced a retry");
+    assert_eq!(records, journal_records(&local), "remote and in-process journals differ");
+    for c in [&local, &campaign] {
+        let _ = std::fs::remove_dir_all(&c.config().dir);
+    }
 }
