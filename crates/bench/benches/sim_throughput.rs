@@ -12,8 +12,8 @@
 //!   (`host.functional_scalar_mips`), alongside `fusion.*` counters for
 //!   the fraction of retired instructions covered by superinstructions.
 //!   The timed leg is also measured through the per-instruction policy
-//!   (`host.timed_pinned_mips`), which cycle watchdogs, tracers and
-//!   interval sampling select, and on the path paper runs take
+//!   (`host.timed_pinned_mips`), which cycle watchdogs and tracers
+//!   select, and on the path paper runs take
 //!   (`host.timed_app_mips`): the four apps' Test-scale Baseline images
 //!   as `Workload::prepare` builds them, profile regions and all, each
 //!   output checked against its golden vector;

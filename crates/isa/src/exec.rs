@@ -278,6 +278,10 @@ pub fn eval_cond(state: &mut CpuState, cond: BranchCond) -> bool {
 ///
 /// Returns [`MemFault`] on an out-of-bounds access; `state.pc` is left at
 /// the faulting instruction.
+///
+/// Always inlined, so the simulator's per-instruction loops keep the
+/// returned [`StepEvent`] in registers.
+#[inline(always)]
 pub fn step(
     state: &mut CpuState,
     mem: &mut Memory,

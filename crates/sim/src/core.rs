@@ -32,7 +32,6 @@ use crate::trace::{InsnTrace, TraceRedirect, Tracer};
 use ppc_isa::insn::{ExecUnit, Instruction, LatencyClass};
 use ppc_isa::reg::{ResList, Resource};
 use ppc_isa::StepEvent;
-use std::collections::VecDeque;
 
 const GPRS: usize = 32;
 const CRS: usize = 8;
@@ -53,9 +52,10 @@ fn res_index(r: Resource) -> usize {
 }
 
 /// Register scoreboard: per-resource ready cycle and producing unit, flat
-/// over [`res_index`], plus a conservative `busy` mask of slots whose
-/// ready cycle may still lie in the future. The mask lets the issue stage
-/// skip the source scan entirely when no source has an outstanding
+/// over [`res_index`]. Its `busy` mask lives with the other per-
+/// instruction scalars in [`PipeState`]: a conservative set of slots
+/// whose ready cycle may still lie in the future. The mask lets the issue
+/// stage skip the source scan entirely when no source has an outstanding
 /// producer — the common case in straight-line DP kernels. Bits are set
 /// on every write and cleared lazily when a scan observes the slot ready
 /// at or before the dispatch frontier; since dispatch never moves
@@ -66,23 +66,23 @@ fn res_index(r: Resource) -> usize {
 struct Scoreboard {
     ready: [u64; RES_SLOTS],
     unit: [ExecUnit; RES_SLOTS],
-    busy: u64,
 }
 
 impl Scoreboard {
     fn new() -> Self {
-        Scoreboard { ready: [0; RES_SLOTS], unit: [ExecUnit::Fxu; RES_SLOTS], busy: 0 }
+        Scoreboard { ready: [0; RES_SLOTS], unit: [ExecUnit::Fxu; RES_SLOTS] }
     }
 
-    /// Mark every written slot as potentially busy (used after a restore,
+    /// Every written slot as potentially busy (the mask after a restore,
     /// where no dispatch frontier is available to compare against).
-    fn assume_busy(&mut self) {
-        self.busy = 0;
+    fn written_mask(&self) -> u64 {
+        let mut busy = 0;
         for (i, &r) in self.ready.iter().enumerate() {
             if r > 0 {
-                self.busy |= 1 << i;
+                busy |= 1 << i;
             }
         }
+        busy
     }
 }
 
@@ -98,12 +98,12 @@ const F_BCCTR: u16 = 1 << 8;
 
 /// Everything the pipeline scheduler needs to know about an instruction
 /// that does not depend on runtime values: unit class, latency class,
-/// source/destination resource lists, the packed source mask, and the
+/// source/destination scoreboard slots, the packed source mask, and the
 /// branch/memory shape flags. Precomputed once per decoded word by the
 /// machine's static timing sidecar so [`TimingCore::retire`] stops
 /// re-deriving it from the [`Instruction`] on every retirement.
 ///
-/// `reads` keeps the *original* [`Instruction::reads`] order: the issue
+/// `srcs` keeps the *original* [`Instruction::reads`] order: the issue
 /// stage takes the blocking unit from the first source reaching the
 /// maximum ready cycle, so scanning in any other order (e.g. mask bit
 /// order) could change stall attribution. The packed `src_mask` is used
@@ -112,24 +112,35 @@ const F_BCCTR: u16 = 1 << 8;
 pub struct StaticTiming {
     /// Source resources as a bit mask over [`res_index`].
     src_mask: u64,
-    /// Source resources in `Instruction::reads` order.
-    reads: ResList,
-    /// Destination resources in `Instruction::writes` order.
-    writes: ResList,
+    /// Source slots ([`res_index`]) in `Instruction::reads` order; the
+    /// first `n_src` are live.
+    srcs: [u8; 4],
+    /// Destination slots in `Instruction::writes` order; the first
+    /// `n_dst` are live.
+    dsts: [u8; 4],
+    n_src: u8,
+    n_dst: u8,
     unit: ExecUnit,
     lat: LatencyClass,
     flags: u16,
 }
 
+/// The scoreboard slots of a resource list, in list order, and their
+/// count (a [`ResList`] holds at most four).
+fn slots(list: ResList) -> ([u8; 4], u8) {
+    let mut s = [0u8; 4];
+    for (k, r) in list.iter().enumerate() {
+        s[k] = res_index(r) as u8;
+    }
+    (s, list.len() as u8)
+}
+
 impl StaticTiming {
     /// Derive the static timing record of one instruction.
     pub fn of(insn: &Instruction) -> Self {
-        let reads = insn.reads();
-        let writes = insn.writes();
-        let mut src_mask = 0u64;
-        for r in reads.iter() {
-            src_mask |= 1 << res_index(r);
-        }
+        let (srcs, n_src) = slots(insn.reads());
+        let (dsts, n_dst) = slots(insn.writes());
+        let src_mask = srcs[..usize::from(n_src)].iter().fold(0u64, |m, &i| m | 1 << i);
         let mut flags = 0u16;
         if insn.is_branch() {
             flags |= F_BRANCH;
@@ -166,12 +177,26 @@ impl StaticTiming {
         }
         StaticTiming {
             src_mask,
-            reads,
-            writes,
+            srcs,
+            dsts,
+            n_src,
+            n_dst,
             unit: insn.unit(),
             lat: insn.latency_class(),
             flags,
         }
+    }
+
+    /// Source slots, in `Instruction::reads` order.
+    #[inline]
+    fn srcs(&self) -> &[u8] {
+        &self.srcs[..usize::from(self.n_src)]
+    }
+
+    /// Destination slots, in `Instruction::writes` order.
+    #[inline]
+    fn dsts(&self) -> &[u8] {
+        &self.dsts[..usize::from(self.n_dst)]
     }
 
     /// Whether this is any branch form.
@@ -307,6 +332,39 @@ impl<T: Copy + Default> PcTable<T> {
     }
 }
 
+/// The pipeline's per-instruction scalars: every value [`TimingCore`]'s
+/// scheduler reads and writes on each retirement outside its tables.
+/// The batched policy copies it into a local once per block and hands
+/// it to the scheduler by `&mut`, so it stays in registers instead of
+/// being read and written through the core on every instruction; the
+/// block writes it back before anything else reads the core
+/// ([`TimingCore::load_pipe`], [`TimingCore::store_pipe`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PipeState {
+    /// Cycle the next instruction may be fetched.
+    fetch_cycle: u64,
+    /// Instructions already fetched in `fetch_cycle`.
+    fetched_this_cycle: usize,
+    /// Pending front-end redirect (cycle fetch may resume) and its cause.
+    pending_redirect: Option<(u64, StallClass)>,
+    /// Last instruction cache line touched by fetch.
+    last_fetch_line: u64,
+    /// Dispatch-group state.
+    group_dispatch: u64,
+    group_len: usize,
+    group_has_branch: bool,
+    /// In-order commit state.
+    last_commit: u64,
+    commit_new_group: bool,
+    /// The reorder window ring ([`TimingCore`]'s `rob`): slot of the
+    /// oldest in-flight commit and the number in flight.
+    rob_head: usize,
+    rob_len: usize,
+    /// Scoreboard slots whose ready cycle may lie in the future (see
+    /// [`Scoreboard`]). Derived state: never serialized.
+    busy: u64,
+}
+
 /// The timing core. Feed it one committed instruction at a time via
 /// [`TimingCore::retire`].
 pub struct TimingCore {
@@ -320,28 +378,15 @@ pub struct TimingCore {
     fxu_free: Vec<u64>,
     lsu_free: Vec<u64>,
     bru_free: Vec<u64>,
-    /// Cycle the next instruction may be fetched.
-    fetch_cycle: u64,
-    /// Instructions already fetched in `fetch_cycle`.
-    fetched_this_cycle: usize,
-    /// Pending front-end redirect (cycle fetch may resume) and its cause.
-    pending_redirect: Option<(u64, StallClass)>,
-    /// Last instruction cache line touched by fetch.
-    last_fetch_line: u64,
     /// `log2(l1i.line)`, precomputed so the per-instruction fetch stage
     /// needs no integer division.
     fetch_line_shift: u32,
-    /// Dispatch-group state.
-    group_dispatch: u64,
-    group_len: usize,
-    group_has_branch: bool,
-    /// In-order commit state.
-    last_commit: u64,
-    commit_new_group: bool,
-    /// Commit times of in-flight instructions (reorder window).
-    rob: VecDeque<u64>,
-    /// `cfg.rob_insns()`, cached off the hot path.
-    rob_cap: usize,
+    /// Fetch, dispatch-group, commit, reorder-window and busy-mask
+    /// scalars.
+    pipe: PipeState,
+    /// Commit times of in-flight instructions (reorder window): a ring
+    /// of `cfg.rob_insns()` slots indexed by `pipe.rob_head`.
+    rob: Box<[u64]>,
     counters: Counters,
     /// Code region registered by the machine (base, words); sizes the
     /// dense site-profiling tables. Zero words = everything spills.
@@ -399,18 +444,22 @@ impl TimingCore {
             fxu_free: vec![0; cfg.fxu_count],
             lsu_free: vec![0; cfg.lsu_count],
             bru_free: vec![0; cfg.bru_count],
-            fetch_cycle: 0,
-            fetched_this_cycle: 0,
-            pending_redirect: None,
-            last_fetch_line: u64::MAX,
             fetch_line_shift: cfg.l1i.line.trailing_zeros(),
-            group_dispatch: 0,
-            group_len: 0,
-            group_has_branch: false,
-            last_commit: 0,
-            commit_new_group: true,
-            rob: VecDeque::with_capacity(cfg.rob_insns()),
-            rob_cap: cfg.rob_insns(),
+            pipe: PipeState {
+                fetch_cycle: 0,
+                fetched_this_cycle: 0,
+                pending_redirect: None,
+                last_fetch_line: u64::MAX,
+                group_dispatch: 0,
+                group_len: 0,
+                group_has_branch: false,
+                last_commit: 0,
+                commit_new_group: true,
+                rob_head: 0,
+                rob_len: 0,
+                busy: 0,
+            },
+            rob: vec![0; cfg.rob_insns()].into_boxed_slice(),
             counters: Counters::default(),
             code_base: 0,
             code_words: 0,
@@ -542,6 +591,8 @@ impl TimingCore {
         // mask is derived state and is not serialized.
         let scoreboard: Vec<(u64, ExecUnit)> =
             self.board.ready.iter().copied().zip(self.board.unit.iter().copied()).collect();
+        let p = &self.pipe;
+        let rob = (0..p.rob_len).map(|k| self.rob[(p.rob_head + k) % self.rob.len()]).collect();
         CoreState {
             predictor: self.predictor.snapshot(),
             ras: self.ras.snapshot(),
@@ -553,16 +604,16 @@ impl TimingCore {
             fxu_free: self.fxu_free.clone(),
             lsu_free: self.lsu_free.clone(),
             bru_free: self.bru_free.clone(),
-            fetch_cycle: self.fetch_cycle,
-            fetched_this_cycle: self.fetched_this_cycle,
-            pending_redirect: self.pending_redirect,
-            last_fetch_line: self.last_fetch_line,
-            group_dispatch: self.group_dispatch,
-            group_len: self.group_len,
-            group_has_branch: self.group_has_branch,
-            last_commit: self.last_commit,
-            commit_new_group: self.commit_new_group,
-            rob: self.rob.iter().copied().collect(),
+            fetch_cycle: p.fetch_cycle,
+            fetched_this_cycle: p.fetched_this_cycle,
+            pending_redirect: p.pending_redirect,
+            last_fetch_line: p.last_fetch_line,
+            group_dispatch: p.group_dispatch,
+            group_len: p.group_len,
+            group_has_branch: p.group_has_branch,
+            last_commit: p.last_commit,
+            commit_new_group: p.commit_new_group,
+            rob,
             counters: self.counters.clone(),
             branch_sites: self.branch_sites.as_ref().map(sorted),
             stall_sites: self.stall_sites.as_ref().map(sorted_stalls),
@@ -578,7 +629,9 @@ impl TimingCore {
     /// # Errors
     ///
     /// Returns a message when any component's geometry (predictor tables,
-    /// caches, unit pools, BTAC presence) does not match this core.
+    /// caches, unit pools, BTAC presence) does not match this core, or
+    /// when the snapshot holds more in-flight instructions than the
+    /// reorder window.
     pub fn restore(&mut self, state: &CoreState) -> Result<(), String> {
         self.predictor.restore(&state.predictor)?;
         self.ras.restore(&state.ras)?;
@@ -598,13 +651,17 @@ impl TimingCore {
                 RES_SLOTS
             ));
         }
+        if state.rob.len() > self.rob.len() {
+            return Err(format!(
+                "reorder window snapshot has {} entries, core holds {}",
+                state.rob.len(),
+                self.rob.len()
+            ));
+        }
         for (i, &(ready, unit)) in state.scoreboard.iter().enumerate() {
             self.board.ready[i] = ready;
             self.board.unit[i] = unit;
         }
-        // No dispatch frontier to compare against here: conservatively mark
-        // every written slot busy (a superset never changes results).
-        self.board.assume_busy();
         for (pool, src, name) in [
             (&mut self.fxu_free, &state.fxu_free, "fxu"),
             (&mut self.lsu_free, &state.lsu_free, "lsu"),
@@ -619,16 +676,24 @@ impl TimingCore {
             }
             pool.copy_from_slice(src);
         }
-        self.fetch_cycle = state.fetch_cycle;
-        self.fetched_this_cycle = state.fetched_this_cycle;
-        self.pending_redirect = state.pending_redirect;
-        self.last_fetch_line = state.last_fetch_line;
-        self.group_dispatch = state.group_dispatch;
-        self.group_len = state.group_len;
-        self.group_has_branch = state.group_has_branch;
-        self.last_commit = state.last_commit;
-        self.commit_new_group = state.commit_new_group;
-        self.rob = state.rob.iter().copied().collect();
+        self.rob[..state.rob.len()].copy_from_slice(&state.rob);
+        self.pipe = PipeState {
+            fetch_cycle: state.fetch_cycle,
+            fetched_this_cycle: state.fetched_this_cycle,
+            pending_redirect: state.pending_redirect,
+            last_fetch_line: state.last_fetch_line,
+            group_dispatch: state.group_dispatch,
+            group_len: state.group_len,
+            group_has_branch: state.group_has_branch,
+            last_commit: state.last_commit,
+            commit_new_group: state.commit_new_group,
+            rob_head: 0,
+            rob_len: state.rob.len(),
+            // No dispatch frontier to compare against here: conservatively
+            // mark every written slot busy (a superset never changes
+            // results).
+            busy: self.board.written_mask(),
+        };
         self.counters = state.counters.clone();
         self.branch_sites = state
             .branch_sites
@@ -688,30 +753,41 @@ impl TimingCore {
     }
 
     /// Schedule one committed instruction through the pipeline model.
-    /// Updates all *dynamic* state (scoreboard, pools, caches, predictor,
-    /// stall partition, branch counters, stall/branch site heatmaps) but
-    /// none of the per-class retirement counters — those are folded in by
+    /// Updates all *dynamic* state (the pipeline scalars in `p`,
+    /// scoreboard, pools, reorder window, caches, predictor, stall
+    /// partition, branch counters, stall/branch site heatmaps) but none
+    /// of the per-class retirement counters — those are folded in by
     /// [`TimingCore::retire`] per instruction or by
-    /// [`TimingCore::flush_block`] per block.
-    fn schedule(&mut self, st: &StaticTiming, pc: u32, event: StepEvent) -> Sched {
+    /// [`TimingCore::flush_block`] per block. `p` is the caller's copy of
+    /// `self.pipe`, which is stale until the caller stores it back.
+    #[inline(always)]
+    fn schedule(
+        &mut self,
+        p: &mut PipeState,
+        st: &StaticTiming,
+        pc: u32,
+        event: StepEvent,
+    ) -> Sched {
         let cfg_group = self.cfg.group_size;
         let mut delay = StallClass::None;
 
         // ---------------- FETCH ----------------
-        if let Some((resume, reason)) = self.pending_redirect.take() {
-            if resume > self.fetch_cycle {
-                self.fetch_cycle = resume;
-                self.fetched_this_cycle = 0;
+        if let Some((resume, reason)) = p.pending_redirect.take() {
+            if resume > p.fetch_cycle {
+                p.fetch_cycle = resume;
+                p.fetched_this_cycle = 0;
                 delay = reason;
             }
         }
         // Reorder-window limit: the oldest in-flight instruction must have
-        // committed before a new one can enter.
-        if self.rob.len() >= self.rob_cap {
-            let freed = self.rob.pop_front().expect("rob nonempty");
-            if freed > self.fetch_cycle {
-                self.fetch_cycle = freed;
-                self.fetched_this_cycle = 0;
+        // committed before a new one can enter (its ring slot then takes
+        // this instruction's commit).
+        let rob_full = p.rob_len >= self.rob.len();
+        if rob_full {
+            let freed = self.rob[p.rob_head];
+            if freed > p.fetch_cycle {
+                p.fetch_cycle = freed;
+                p.fetched_this_cycle = 0;
                 if delay == StallClass::None {
                     delay = StallClass::WindowFull;
                 }
@@ -719,44 +795,44 @@ impl TimingCore {
         }
         // Instruction-cache access per line transition.
         let line = (pc as u64) >> self.fetch_line_shift;
-        if line != self.last_fetch_line {
-            self.last_fetch_line = line;
+        if line != p.last_fetch_line {
+            p.last_fetch_line = line;
             let lat = self.hier.fetch(pc);
             let extra = lat.saturating_sub(self.cfg.l1i.hit_latency);
             if extra > 0 {
-                self.fetch_cycle += extra;
-                self.fetched_this_cycle = 0;
+                p.fetch_cycle += extra;
+                p.fetched_this_cycle = 0;
                 if delay == StallClass::None {
                     delay = StallClass::ICache;
                 }
             }
         }
-        if self.fetched_this_cycle >= self.cfg.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetched_this_cycle = 0;
+        if p.fetched_this_cycle >= self.cfg.fetch_width {
+            p.fetch_cycle += 1;
+            p.fetched_this_cycle = 0;
         }
-        let fetch_time = self.fetch_cycle;
-        self.fetched_this_cycle += 1;
+        let fetch_time = p.fetch_cycle;
+        p.fetched_this_cycle += 1;
 
         // ---------------- DISPATCH (group formation) ----------------
-        let close_group = self.group_len >= cfg_group || (st.is_branch() && self.group_has_branch);
+        let close_group = p.group_len >= cfg_group || (st.is_branch() && p.group_has_branch);
         if close_group {
-            self.group_dispatch += 1;
-            self.group_len = 0;
-            self.group_has_branch = false;
-            self.commit_new_group = true;
+            p.group_dispatch += 1;
+            p.group_len = 0;
+            p.group_has_branch = false;
+            p.commit_new_group = true;
         }
         let earliest_dispatch = fetch_time + self.cfg.frontend_depth;
-        if earliest_dispatch > self.group_dispatch {
+        if earliest_dispatch > p.group_dispatch {
             // A fresh group cannot dispatch before its instructions arrive;
             // later arrivals push the whole group (approximation).
-            self.group_dispatch = earliest_dispatch;
+            p.group_dispatch = earliest_dispatch;
         }
-        self.group_len += 1;
+        p.group_len += 1;
         if st.is_branch() {
-            self.group_has_branch = true;
+            p.group_has_branch = true;
         }
-        let dispatch = self.group_dispatch;
+        let dispatch = p.group_dispatch;
 
         // ---------------- ISSUE ----------------
         let mut ready = dispatch;
@@ -768,10 +844,10 @@ impl TimingCore {
         // is exact. Otherwise scan in `reads` order — the blocking unit is
         // taken from the FIRST source reaching the max ready cycle, so the
         // order is part of the observable stall attribution.
-        if st.src_mask & self.board.busy != 0 {
+        if st.src_mask & p.busy != 0 {
             let mut settled = 0u64;
-            for res in st.reads.iter() {
-                let i = res_index(res);
+            for &i in st.srcs() {
+                let i = usize::from(i);
                 let r = self.board.ready[i];
                 if r > ready {
                     ready = r;
@@ -782,7 +858,7 @@ impl TimingCore {
                     settled |= 1 << i;
                 }
             }
-            self.board.busy &= !settled;
+            p.busy &= !settled;
         }
         let unit = st.unit;
         let div_latency = self.cfg.lat_div;
@@ -814,21 +890,22 @@ impl TimingCore {
         let complete = issue + self.latency(st, mem_latency);
 
         // ---------------- WRITEBACK ----------------
-        for res in st.writes.iter() {
-            let i = res_index(res);
+        for &i in st.dsts() {
+            let i = usize::from(i);
             self.board.ready[i] = complete;
             self.board.unit[i] = unit;
-            self.board.busy |= 1 << i;
+            p.busy |= 1 << i;
         }
 
         // ---------------- BRANCH RESOLUTION ----------------
+        // The redirect this instruction fetched under was taken above, so
+        // a branch installs its own or none.
         if let Some((taken, target)) = event.branch {
-            self.account_branch(st, pc, fetch_time, complete, taken, target);
+            p.pending_redirect = self.account_branch(st, pc, fetch_time, complete, taken, target);
         }
 
         // ---------------- COMMIT ----------------
-        let min_commit =
-            if self.commit_new_group { self.last_commit + 1 } else { self.last_commit };
+        let min_commit = if p.commit_new_group { p.last_commit + 1 } else { p.last_commit };
         let commit = complete.max(min_commit);
         // Attribute completion-stall cycles beyond the structural 1/group.
         let gap = commit.saturating_sub(min_commit);
@@ -855,11 +932,16 @@ impl TimingCore {
                 sites.slot(pc).add(reason, gap);
             }
         }
-        self.commit_new_group = false;
-        self.last_commit = commit;
-        self.rob.push_back(commit);
-        if self.rob.len() > self.rob_cap {
-            self.rob.pop_front();
+        p.commit_new_group = false;
+        p.last_commit = commit;
+        if rob_full {
+            self.rob[p.rob_head] = commit;
+            p.rob_head = if p.rob_head + 1 == self.rob.len() { 0 } else { p.rob_head + 1 };
+        } else {
+            let tail = p.rob_head + p.rob_len;
+            let tail = if tail >= self.rob.len() { tail - self.rob.len() } else { tail };
+            self.rob[tail] = commit;
+            p.rob_len += 1;
         }
         Sched { fetch: fetch_time, dispatch, issue, complete, commit, reason, gap }
     }
@@ -887,32 +969,44 @@ impl TimingCore {
         if st.is_store() {
             c.stores += 1;
         }
-        if self.interval_insns > 0 && c.instructions.is_multiple_of(self.interval_insns) {
-            let (i0, cy0, m0) = self.interval_start;
-            let di = c.instructions - i0;
-            let dc = c.cycles.saturating_sub(cy0).max(1);
-            let dm = c.branches.direction_mispredictions - m0;
-            let cond =
-                (di as f64 * c.branches.conditional as f64 / c.instructions.max(1) as f64).max(1.0);
-            c.intervals.push(IntervalSample {
-                instructions: c.instructions,
-                cycles: c.cycles,
-                ipc: di as f64 / dc as f64,
-                mispredict_rate: dm as f64 / cond,
-            });
-            self.interval_start = (c.instructions, c.cycles, c.branches.direction_mispredictions);
+        let (instructions, cycles) = (c.instructions, c.cycles);
+        self.sample_interval(instructions, cycles);
+    }
+
+    /// Push an interval sample when `instructions` committed instructions
+    /// end a sampling period; `cycles` is the cycle count at that commit.
+    #[inline]
+    fn sample_interval(&mut self, instructions: u64, cycles: u64) {
+        if self.interval_insns == 0 || !instructions.is_multiple_of(self.interval_insns) {
+            return;
         }
+        let c = &mut self.counters;
+        let (i0, cy0, m0) = self.interval_start;
+        let di = instructions - i0;
+        let dc = cycles.saturating_sub(cy0).max(1);
+        let dm = c.branches.direction_mispredictions - m0;
+        let cond =
+            (di as f64 * c.branches.conditional as f64 / instructions.max(1) as f64).max(1.0);
+        c.intervals.push(IntervalSample {
+            instructions,
+            cycles,
+            ipc: di as f64 / dc as f64,
+            mispredict_rate: dm as f64 / cond,
+        });
+        self.interval_start = (instructions, cycles, c.branches.direction_mispredictions);
     }
 
     /// Account one committed instruction; returns the cycle it commits.
     ///
     /// Derives the [`StaticTiming`] record on the fly and runs the same
-    /// scheduler as the batched path, so the machine's per-instruction
-    /// reference policy and its batched policy are identical by
-    /// construction.
+    /// scheduler as the batched path, loading and storing the pipeline
+    /// scalars around it, so the machine's per-instruction reference
+    /// policy and its batched policy are identical by construction.
     pub fn retire(&mut self, r: Retired<'_>) -> u64 {
         let st = StaticTiming::of(r.insn);
-        let s = self.schedule(&st, r.pc, r.event);
+        let mut pipe = self.pipe;
+        let s = self.schedule(&mut pipe, &st, r.pc, r.event);
+        self.pipe = pipe;
         self.count_one(&st, s.commit);
         // One discriminant test when tracing is off; the record is built
         // only on the cold path.
@@ -924,15 +1018,61 @@ impl TimingCore {
         s.commit
     }
 
-    /// Account one committed instruction from its precomputed static
-    /// timing record, deferring the per-class counter increments to a
-    /// later [`TimingCore::flush_block`]. Only valid when no tracer or
-    /// interval sampling is active (see [`TimingCore::tracer`] and
-    /// [`TimingCore::interval_sampling_enabled`]); callers accumulate the
-    /// class counts per block from the sidecar's prefix sums.
+    /// A copy of the pipeline scalars, taken once at the start of a
+    /// batched block and passed to every [`TimingCore::retire_batched`]
+    /// of that block.
     #[inline]
-    pub fn retire_batched(&mut self, st: &StaticTiming, pc: u32, event: StepEvent) -> u64 {
-        self.schedule(st, pc, event).commit
+    pub(crate) fn load_pipe(&self) -> PipeState {
+        self.pipe
+    }
+
+    /// Write the block's pipeline scalars back. Must run before anything
+    /// else reads the core: [`TimingCore::flush_block`],
+    /// [`TimingCore::last_commit`], a snapshot or a trap stamp.
+    #[inline]
+    pub(crate) fn store_pipe(&mut self, pipe: PipeState) {
+        self.pipe = pipe;
+    }
+
+    /// Account one committed instruction from its precomputed static
+    /// timing record against the block's pipeline scalars `pipe` (see
+    /// [`TimingCore::load_pipe`]), deferring the per-class counter
+    /// increments to a later [`TimingCore::flush_block`]. Only valid when
+    /// no tracer is active (see [`TimingCore::tracer`]); callers
+    /// accumulate the class counts per block from the sidecar's prefix
+    /// sums and take interval samples through
+    /// [`TimingCore::sample_in_block`].
+    #[inline(always)]
+    pub(crate) fn retire_batched(
+        &mut self,
+        pipe: &mut PipeState,
+        st: &StaticTiming,
+        pc: u32,
+        event: StepEvent,
+    ) -> u64 {
+        self.schedule(pipe, st, pc, event).commit
+    }
+
+    /// Retirements until the next interval sample is due, counted from
+    /// the last [`TimingCore::flush_block`]; `usize::MAX` while interval
+    /// sampling is off.
+    pub(crate) fn retirements_to_sample(&self) -> usize {
+        match self.interval_insns {
+            0 => usize::MAX,
+            n => (n - self.counters.instructions % n) as usize,
+        }
+    }
+
+    /// Take the interval sample due at the `pending`-th retirement of a
+    /// batched block (none of which is folded yet), which committed at
+    /// `commit`: the same sample [`TimingCore::retire`] takes there,
+    /// since commits never decrease. Returns the distance to the next
+    /// sample.
+    pub(crate) fn sample_in_block(&mut self, pending: u64, commit: u64) -> usize {
+        let instructions = self.counters.instructions + pending;
+        let cycles = self.counters.cycles.max(commit);
+        self.sample_interval(instructions, cycles);
+        self.interval_insns as usize
     }
 
     /// Fold a block's accumulated per-class counts into [`Counters`] and
@@ -948,7 +1088,7 @@ impl TimingCore {
         c.predicated_ops += d.predicated;
         c.loads += d.loads;
         c.stores += d.stores;
-        c.cycles = c.cycles.max(self.last_commit);
+        c.cycles = c.cycles.max(self.pipe.last_commit);
     }
 
     /// Cycle of the most recent commit (0 before the first retirement).
@@ -956,12 +1096,13 @@ impl TimingCore {
     /// it once per retired block to feed the retire-latency histogram.
     #[inline]
     pub fn last_commit(&self) -> u64 {
-        self.last_commit
+        self.pipe.last_commit
     }
 
-    /// Whether interval sampling is on. Like an active tracer, it needs
-    /// every retirement visited individually, ruling out the
-    /// block-batched commit path.
+    /// Whether interval sampling is on. It does not pin a timed run:
+    /// the batched policy takes each sample at the exact retirement that
+    /// ends a period ([`TimingCore::sample_in_block`]), from the same
+    /// counters the per-instruction path reads there.
     pub fn interval_sampling_enabled(&self) -> bool {
         self.interval_insns > 0
     }
@@ -986,7 +1127,7 @@ impl TimingCore {
         let redirect = r
             .event
             .branch
-            .and(self.pending_redirect)
+            .and(self.pipe.pending_redirect)
             .map(|(resume, cause)| TraceRedirect { resume, cause });
         let record = InsnTrace {
             seq: self.counters.instructions,
@@ -1004,6 +1145,8 @@ impl TimingCore {
         self.tracer.record(&record);
     }
 
+    /// Predict and train on one resolved branch, count it, and return
+    /// the front-end redirect it causes (resume cycle and cause), if any.
     fn account_branch(
         &mut self,
         st: &StaticTiming,
@@ -1012,7 +1155,7 @@ impl TimingCore {
         resolve: u64,
         taken: bool,
         target: u32,
-    ) {
+    ) -> Option<(u64, StallClass)> {
         let c = &mut self.counters;
         c.branches.total += 1;
         let conditional = st.is_conditional_branch();
@@ -1094,7 +1237,7 @@ impl TimingCore {
         // Front-end consequences, in priority order.
         if direction_mispredict || target_mispredict {
             let resume = resolve + self.cfg.mispredict_penalty;
-            self.pending_redirect = Some((resume, StallClass::Mispredict));
+            Some((resume, StallClass::Mispredict))
         } else if taken {
             // A correct BTAC prediction removes the NIA-computation bubble;
             // the target-refetch overhead remains either way.
@@ -1107,7 +1250,9 @@ impl TimingCore {
             // completion stall only if the window cannot hide it (the gap
             // is attributed at the next commit).
             let resume = fetch_time + 1 + bubble;
-            self.pending_redirect = Some((resume, StallClass::TakenBubble));
+            Some((resume, StallClass::TakenBubble))
+        } else {
+            None
         }
     }
 }
@@ -1176,8 +1321,8 @@ impl std::fmt::Debug for TimingCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimingCore")
             .field("cfg", &self.cfg)
-            .field("fetch_cycle", &self.fetch_cycle)
-            .field("last_commit", &self.last_commit)
+            .field("fetch_cycle", &self.pipe.fetch_cycle)
+            .field("last_commit", &self.pipe.last_commit)
             .field("instructions", &self.counters.instructions)
             .finish_non_exhaustive()
     }
@@ -1465,6 +1610,21 @@ mod tests {
         let mut btac =
             TimingCore::new(CoreConfig::power5().with_btac(crate::config::BtacConfig::default()));
         assert!(btac.restore(&snap).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_an_overlong_reorder_window() {
+        // Checkpoint text is untrusted: a window longer than the core's
+        // is an error, not a panic and not a silent truncation.
+        let cap = CoreConfig::power5().rob_insns();
+        let mut snap = core().snapshot();
+        snap.rob = (1..=cap as u64).collect();
+        let mut c = core();
+        c.restore(&snap).unwrap();
+        assert_eq!(c.snapshot().rob, snap.rob, "a full window restores oldest first");
+        snap.rob.push(cap as u64 + 1);
+        let err = core().restore(&snap).unwrap_err();
+        assert!(err.contains("reorder window"), "{err}");
     }
 
     #[test]

@@ -257,17 +257,26 @@ const INVALID_SLOT: Instruction = Instruction::Trap;
 /// Region-index sentinel: this code word belongs to no profile region.
 const NO_REGION: u32 = u32::MAX;
 
-/// Charge one committed instruction to profile region `region` (or to
-/// none, for [`NO_REGION`]): the commit-cycle delta since the last
-/// commit seen goes to the region along with the instruction, and the
-/// last commit seen advances either way.
+/// Charge `n` committed instructions, the last committing at `commit`,
+/// to profile region `region` (or to none, for [`NO_REGION`]): the
+/// commit-cycle delta since the last commit seen goes to the region
+/// along with the instructions, and the last commit seen advances either
+/// way. Commits never decrease, so charging a run of retirements in one
+/// region at once gives what charging each in turn does: the deltas
+/// telescope to the last commit's.
 #[inline]
-fn charge_region(counts: &mut [(u64, u64)], region: u32, commit: u64, last_commit_seen: &mut u64) {
+fn charge_region(
+    counts: &mut [(u64, u64)],
+    region: u32,
+    n: u64,
+    commit: u64,
+    last_commit_seen: &mut u64,
+) {
     let delta = commit.saturating_sub(*last_commit_seen);
     *last_commit_seen = (*last_commit_seen).max(commit);
     if region != NO_REGION {
         let c = &mut counts[region as usize];
-        c.0 += 1;
+        c.0 += n;
         c.1 += delta;
     }
 }
@@ -439,6 +448,10 @@ pub struct Machine {
     /// Dense per-code-word region index ([`NO_REGION`] = unattributed);
     /// rebuilt whenever the regions or the code image change.
     region_index: Vec<u32>,
+    /// Per code word, how many words from it on share its region index
+    /// (like `run_len`): a batched block no longer than this lies in
+    /// one region and is charged once.
+    region_run: Vec<u32>,
     last_commit_seen: u64,
     /// Optional symbol table for symbolized heatmaps and trace dumps.
     symbols: Option<SymbolMap>,
@@ -523,6 +536,7 @@ impl Machine {
             halted: false,
             profile: None,
             region_index: Vec::new(),
+            region_run: Vec::new(),
             last_commit_seen: 0,
             symbols: None,
             insns_total: 0,
@@ -716,7 +730,7 @@ impl Machine {
     /// Recompute the dense PC→region table from the active profile
     /// regions: one entry per code word, holding the index of the first
     /// region containing it (matching the linear first-match scan this
-    /// table replaces on the retire path).
+    /// table replaces on the retire path), and its run-length table.
     fn rebuild_region_index(&mut self) {
         self.region_index = match &self.profile {
             None => Vec::new(),
@@ -730,6 +744,14 @@ impl Machine {
                 })
                 .collect(),
         };
+        let index = &self.region_index;
+        let mut run = vec![1u32; index.len()];
+        for i in (0..index.len().saturating_sub(1)).rev() {
+            if index[i] == index[i + 1] {
+                run[i] = run[i + 1] + 1;
+            }
+        }
+        self.region_run = run;
     }
 
     /// Profiling results as `(name, instructions, cycles)`, in region
@@ -907,12 +929,13 @@ impl Machine {
     /// Run with full timing for at most `max_insns` instructions.
     ///
     /// Retires block-batched unless an observer needs every retirement
-    /// on its own — a cycle watchdog, a tracer, or interval sampling
-    /// (see `timed_pin_reason`) — in which case it takes the
-    /// per-instruction reference policy ([`Machine::run_timed_pinned`]).
-    /// Per-function profiling and the lockstep oracle do not pin: the
-    /// batched policy charges each commit to its region, and hands each
-    /// retirement to the oracle, exactly as the pinned one does. Both
+    /// on its own — a cycle watchdog or a tracer (see
+    /// `timed_pin_reason`) — in which case it takes the per-instruction
+    /// reference policy ([`Machine::run_timed_pinned`]). Per-function
+    /// profiling, interval sampling and the lockstep oracle do not pin:
+    /// the batched policy charges commits to their regions, takes each
+    /// interval sample at the retirement that ends its period, and hands
+    /// each retirement to the oracle, exactly as the pinned one does. Both
     /// policies drive the same pipeline scheduler and are cycle-exact
     /// to each other: identical counters, stall partitions, site
     /// heatmaps, profile results, and checkpoints.
@@ -930,16 +953,13 @@ impl Machine {
 
     /// Which observer pins timed runs to the per-instruction policy, if
     /// any: a cycle watchdog stops at the exact instruction whose commit
-    /// crosses its limit, while a tracer and interval sampling record
-    /// every retirement with its own counters; the batched policy folds
-    /// once per block.
+    /// crosses its limit, while a tracer records every retirement with
+    /// its own counters; the batched policy folds once per block.
     fn timed_pin_reason(&self) -> Option<&'static str> {
         if self.watchdog.max_cycles.is_some() {
             Some("cycle watchdog")
         } else if !self.core.tracer().is_off() {
             Some("tracer")
-        } else if self.core.interval_sampling_enabled() {
-            Some("interval sampling")
         } else {
             None
         }
@@ -1099,11 +1119,14 @@ impl Machine {
     /// After each step the first applicable stop wins: a fault (nothing
     /// retires), a divergence, a halt, the cycle watchdog, then a store
     /// into the code region. Timed policies retire each step through
-    /// the timing core and charge its commit to its profile region;
-    /// [`Batched`] folds the block's per-class counters once at the end,
-    /// against the prefix sums of the tables it executed from (a store
-    /// may patch an earlier slot of this very block) and before the
-    /// driver stamps a trap with the cycle count.
+    /// the timing core and charge its commit to its profile region.
+    /// [`Batched`] keeps the core's pipeline scalars in a local for the
+    /// whole block, takes interval samples where they fall, and at block
+    /// exit writes the scalars back, charges a block that lies in one
+    /// profile region at once, and folds the block's per-class counters
+    /// — against the prefix sums of the tables it executed from (a store
+    /// may patch an earlier slot of this very block), and before the
+    /// driver reads the core for the profiler or a trap's cycle stamp.
     #[inline(always)]
     fn step_block<P: Policy, O: Observer>(
         &mut self,
@@ -1120,19 +1143,28 @@ impl Machine {
             core,
             decoded,
             timing,
+            class_prefix,
             profile,
             region_index,
+            region_run,
             last_commit_seen,
             ..
         } = &mut *self;
-        // The region index covers every code slot whenever profiling is
-        // on (`rebuild_region_index`), so the block's slice exists.
-        let mut attribution = match profile {
-            Some((_, counts)) if P::TIMED => {
-                Some((counts.as_mut_slice(), &region_index[idx..idx + quota]))
+        // The region tables cover every code slot whenever profiling is
+        // on (`rebuild_region_index`), so the block's entries exist. A
+        // batched block inside one region is charged once, at exit
+        // (`whole`); any other timed block per retirement (`each`).
+        let (mut each, whole) = match profile {
+            Some((_, counts)) if P::BATCHED && region_run[idx] as usize >= quota => {
+                (None, Some((counts.as_mut_slice(), region_index[idx])))
             }
-            _ => None,
+            Some((_, counts)) if P::TIMED => {
+                (Some((counts.as_mut_slice(), &region_index[idx..idx + quota])), None)
+            }
+            _ => (None, None),
         };
+        let mut pipe = core.load_pipe();
+        let mut sample_at = if P::BATCHED { core.retirements_to_sample() } else { usize::MAX };
         let mut n = 0usize;
         let mut cut = Cut::Done;
         for (insn, st) in decoded[idx..idx + quota].iter().zip(&timing[idx..idx + quota]) {
@@ -1146,16 +1178,19 @@ impl Machine {
                 }
             };
             let commit = if P::BATCHED {
-                core.retire_batched(st, pc, ev)
+                core.retire_batched(&mut pipe, st, pc, ev)
             } else if P::TIMED {
                 core.retire(Retired { insn, pc, event: ev })
             } else {
                 0
             };
-            if let Some((counts, regions)) = &mut attribution {
-                charge_region(counts, regions[n], commit, last_commit_seen);
+            if let Some((counts, regions)) = &mut each {
+                charge_region(counts, regions[n], 1, commit, last_commit_seen);
             }
             n += 1;
+            if P::BATCHED && n == sample_at {
+                sample_at += core.sample_in_block(n as u64, commit);
+            }
             if let Some(ls) = obs.lockstep() {
                 ls.note_commit(pc);
                 let index = first_index + n as u64 - 1;
@@ -1179,9 +1214,14 @@ impl Machine {
                 }
             }
         }
-        if P::BATCHED && n > 0 {
-            let d = self.class_prefix[idx + n].minus(&self.class_prefix[idx]);
-            self.core.flush_block(d);
+        if P::BATCHED {
+            core.store_pipe(pipe);
+            if n > 0 {
+                if let Some((counts, region)) = whole {
+                    charge_region(counts, region, n as u64, core.last_commit(), last_commit_seen);
+                }
+                core.flush_block(class_prefix[idx + n].minus(&class_prefix[idx]));
+            }
         }
         BlockRun { retired: n as u64, cut }
     }
@@ -1714,9 +1754,9 @@ loop:
 
     #[test]
     fn only_per_instruction_observers_pin_timed_runs() {
-        // Profile regions (which every paper run sets) and instruction
-        // budgets keep the batched loop; each per-instruction observer
-        // pins, profiled or not.
+        // Profile regions (which every paper run sets), instruction
+        // budgets and interval sampling keep the batched loop; each
+        // per-instruction observer pins, profiled or not.
         let loop_region =
             || vec![ProfileRegion { name: "loop".into(), start: 0x100c, end: 0x1014 }];
         let mut m = machine(COUNT_LOOP);
@@ -1724,15 +1764,16 @@ loop:
         m.set_profile_regions(loop_region());
         m.set_watchdog(Watchdog { max_instructions: Some(10_000), ..Watchdog::default() });
         assert_eq!(m.timed_pin_reason(), None, "profiled runs must take the batched loop");
+        m.set_interval_sampling(200);
+        assert_eq!(m.timed_pin_reason(), None, "interval sampling must take the batched loop");
 
         type Attach = fn(&mut Machine);
-        let observers: [(Attach, &str); 3] = [
+        let observers: [(Attach, &str); 2] = [
             (
                 |m| m.set_watchdog(Watchdog { max_cycles: Some(300), ..Watchdog::default() }),
                 "cycle watchdog",
             ),
             (|m| m.trace_last(16), "tracer"),
-            (|m| m.set_interval_sampling(200), "interval sampling"),
         ];
         for profiled in [false, true] {
             for (attach, reason) in observers {
@@ -1826,6 +1867,56 @@ donor:
             for m in [&batched, &pinned, &checked, &resumed] {
                 assert_eq!(m.profile_results(), gold.profile_results(), "cut {cut}");
                 assert_eq!(m.checkpoint(), gold.checkpoint(), "cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_interval_series_matches_pinned_at_every_cut() {
+        // Periods that put samples mid-block, several in one block, and
+        // on every retirement, over regions that split blocks and a store
+        // into the code. A guest profiler rides along: samples must not
+        // change the blocks it sees.
+        let report = |m: &mut Machine| m.take_profiler().unwrap().report(None);
+        for period in [1, 3, 7, 40] {
+            let sampled = || {
+                let mut m = profiled_smc_machine();
+                m.set_interval_sampling(period);
+                m.set_sampling_profiler(5);
+                m
+            };
+            let mut gold = sampled();
+            let total = gold.run_timed_pinned(u64::MAX).unwrap().executed;
+            assert_eq!(gold.counters().intervals.len() as u64, total / period);
+            let mut whole = sampled();
+            assert_eq!(whole.timed_pin_reason(), None);
+            whole.run_timed(u64::MAX).unwrap();
+            assert_eq!(whole.counters(), gold.counters(), "period {period}");
+            assert_eq!(whole.checkpoint(), gold.checkpoint(), "period {period}");
+            assert_eq!(report(&mut whole), report(&mut gold), "period {period}");
+
+            for cut in 0..=total {
+                let mut batched = sampled();
+                let mut pinned = sampled();
+                batched.run_timed(cut).unwrap();
+                pinned.run_timed_pinned(cut).unwrap();
+                assert_eq!(batched.counters(), pinned.counters(), "period {period} cut {cut}");
+                let mid = batched.checkpoint();
+                assert_eq!(mid, pinned.checkpoint(), "period {period} cut {cut}");
+
+                // Finish in place, pinned, and batched in a fresh machine
+                // restored from the batched mid-point (the checkpoint
+                // carries the sampling period and the open interval).
+                let mut resumed = machine(PROFILED_SMC_LOOP);
+                resumed.restore(&mid).unwrap();
+                batched.run_timed(u64::MAX).unwrap();
+                pinned.run_timed_pinned(u64::MAX).unwrap();
+                resumed.run_timed(u64::MAX).unwrap();
+                for m in [&batched, &pinned, &resumed] {
+                    assert_eq!(m.counters(), gold.counters(), "period {period} cut {cut}");
+                    assert_eq!(m.checkpoint(), gold.checkpoint(), "period {period} cut {cut}");
+                }
+                assert_eq!(report(&mut batched), report(&mut pinned), "period {period} cut {cut}");
             }
         }
     }

@@ -65,7 +65,9 @@ fn reference_report(tag: &str) -> String {
         campaign.submit(spec).expect("submit");
     }
     campaign.run();
-    campaign.merged_report().expect("report").render_json()
+    let report = campaign.merged_report().expect("report").render_json();
+    let _ = std::fs::remove_dir_all(&campaign.config().dir);
+    report
 }
 
 /// Worker-shard entry point for child processes (no-op in a normal test
@@ -170,6 +172,7 @@ fn chaos_and_a_killed_worker_preserve_byte_identity() {
         server.join().expect("server thread").expect("serve");
     });
     let remote_report = campaign.merged_report().expect("report").render_json();
+    let _ = std::fs::remove_dir_all(&campaign.config().dir);
     assert_eq!(remote_report, reference, "chaos run must be byte-identical");
 }
 
@@ -183,7 +186,10 @@ fn double_retire_is_a_cache_hit_not_a_double_count() {
     campaign.submit(spec).expect("submit");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    std::thread::scope(|s| {
+    // Observed inside the scope, asserted after it: `serve` returns only
+    // once the job is terminal, so an assertion failing in there before
+    // the retire lands would leave the test waiting instead of failing.
+    let (job, report, first, replayed) = std::thread::scope(|s| {
         let server = s.spawn(|| {
             remote::serve(&campaign, listener, &ServeOptions { poll_ms: 50, deadline: None })
         });
@@ -196,20 +202,21 @@ fn double_retire_is_a_cache_hit_not_a_double_count() {
         let retire = Frame::Retire { job: job.clone(), insns: 1, report: report.clone() };
         fs.send(&retire).expect("retire 1");
         fs.send(&retire).expect("retire 2");
-        assert!(
-            matches!(fs.recv(), Ok(Frame::Ack { job: j, .. }) if j == job),
-            "first retire must ack"
-        );
-        assert!(
-            matches!(fs.recv(), Ok(Frame::Ack { job: j, .. }) if j == job),
-            "replayed retire must ack as a duplicate, not fail"
-        );
+        let first = fs.recv();
+        let replayed = fs.recv();
         server.join().expect("server thread").expect("serve");
-        assert_eq!(campaign.status(&job), Some(JobStatus::Completed));
-        let cache_file = campaign.config().dir.join("cache").join(format!("{job}.json"));
-        let cached = std::fs::read_to_string(cache_file).expect("cache");
-        assert_eq!(cached, report, "cache must hold the retired bytes exactly once");
+        (job, report, first, replayed)
     });
+    assert!(matches!(first, Ok(Frame::Ack { job: j, .. }) if j == job), "first retire must ack");
+    assert!(
+        matches!(replayed, Ok(Frame::Ack { job: j, .. }) if j == job),
+        "replayed retire must ack as a duplicate, not fail"
+    );
+    assert_eq!(campaign.status(&job), Some(JobStatus::Completed));
+    let cache_file = campaign.config().dir.join("cache").join(format!("{job}.json"));
+    let cached = std::fs::read_to_string(cache_file).expect("cache");
+    let _ = std::fs::remove_dir_all(&campaign.config().dir);
+    assert_eq!(cached, report, "cache must hold the retired bytes exactly once");
 }
 
 /// A subscriber — even one that connects after jobs have retired — gets
@@ -266,7 +273,9 @@ fn late_subscriber_replays_the_full_backlog() {
         assert_eq!(labels, want, "subscriber must see every result exactly once");
         assert_eq!(completed + quarantined, want.len() as u64);
     });
-    assert_eq!(campaign.merged_report().expect("report").render_json(), reference);
+    let remote_report = campaign.merged_report().expect("report").render_json();
+    let _ = std::fs::remove_dir_all(&campaign.config().dir);
+    assert_eq!(remote_report, reference);
 }
 
 /// Graceful drain over the wire: a deadline of zero releases in-flight
@@ -311,7 +320,9 @@ fn deadline_drain_then_resume_completes_byte_identically() {
         assert!(worker.join().expect("worker thread").clean);
         server.join().expect("server thread").expect("serve");
     });
-    assert_eq!(campaign.merged_report().expect("report").render_json(), reference);
+    let remote_report = campaign.merged_report().expect("report").render_json();
+    let _ = std::fs::remove_dir_all(&campaign.config().dir);
+    assert_eq!(remote_report, reference);
 }
 
 /// A raw worker connection, past the `hello` handshake.
